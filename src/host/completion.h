@@ -1,9 +1,9 @@
 // Completion: the async handle `Engine::submit_*` returns.
 //
-// Replaces the Radio facade's global `run_until_idle()` rendezvous with
-// per-job completion: poll with `done()`, block with `wait()` (which
+// Per-job completion: poll with `done()`, block with `wait()` (which
 // advances the engine), or register `on_done` callbacks — each registered
-// callback fires exactly once, from inside `Engine::step()` when the
+// callback fires exactly once, on the caller's thread, from the Engine's
+// delivery routine (inside step(), wait(), advance_to(), ...) once the
 // device reports the job complete (or immediately if it already has).
 #pragma once
 
@@ -27,7 +27,7 @@ struct JobState {
   JobId id = 0;
   std::size_t device = 0;
   DeviceJobId device_job = 0;
-  std::uint64_t channel_uid = 0;  // 0 = raw submit (no stats channel)
+  std::uint64_t channel_uid = 0;
   bool done = false;
   JobResult result;  // final copy once done
   /// Retained copy of the submitted spec (only when the engine runs with
@@ -52,7 +52,8 @@ class Completion {
   const JobResult& result() const;
 
   /// Register a callback; fires exactly once — immediately if the job is
-  /// already done, otherwise from Engine::step() on completion.
+  /// already done, otherwise from the engine's delivery routine on the
+  /// caller's thread.
   void on_done(std::function<void(const JobResult&)> fn);
 
   /// Advance the engine until this job completes (or throw after

@@ -19,9 +19,10 @@
 // Threading contract: a Device is a single-threaded clock domain and
 // implementations need NO internal synchronization. The driver guarantees
 // that at most one thread touches a given device at any time — in the
-// Engine's worker-pool mode, each device is pinned to one worker for
-// `step()`/`advance_to()`/`result()` during a round, and every round is
-// separated from the caller's submit/control/forget accesses by a barrier
+// Engine's worker-pool mode, each device is pinned to one worker for the
+// stepping calls of a round (`step()`, `pump_round()`, `advance_quiet()`,
+// `advance_to()`), and every pass is separated from the caller's
+// submit/control/result/forget accesses by a barrier
 // (a happens-before edge on both entry and exit). Distinct devices may be
 // driven concurrently; nothing behind this interface may share mutable
 // state across devices.
@@ -45,8 +46,7 @@ namespace mccp::host {
 using top::ChannelMode;
 
 /// Descriptor of an open channel on one device. Plain data — the RAII
-/// `host::Channel` wraps one of these; the legacy `radio::ChannelHandle` is
-/// an alias for it.
+/// `host::Channel` wraps one of these.
 struct ChannelInfo {
   std::uint8_t id = 0;
   ChannelMode mode{};
@@ -150,10 +150,11 @@ class Device {
   // scheduling round at the current cycle" (pump_round) and "advance the
   // clock" (advance_quiet), and can bound how many upcoming cycles are
   // provably inert (quiet_horizon). A fleet driver then pumps every device
-  // at the same cycle, takes the min horizon across the fleet when no
-  // controller acted, and advances all clocks together — fast-forwarding
-  // quiet spans without ever letting one device's clock race its siblings
-  // (which would skew wait budgets and later submit-cycle stamps). The
+  // at the same cycle, ticks every clock once, and when no controller
+  // acted advances all clocks on together to the fleet-min horizon —
+  // fast-forwarding quiet spans without ever letting one device's clock
+  // race its siblings (which would skew wait budgets and later
+  // submit-cycle stamps). The
   // resulting trajectory is bit-identical to per-cycle stepping.
   /// Opt-in flag; when false the driver just calls step() and the three
   /// methods below are never invoked.
@@ -163,12 +164,15 @@ class Device {
   /// the fleet must then advance by exactly one cycle so the action's
   /// consequences replay at the classic cadence.
   virtual bool pump_round() { return true; }
-  /// After a round where no controller in the fleet acted: upper bound
-  /// (capped at `cap`) on upcoming cycles during which this device is
-  /// provably inert. 0 or 1 means "advance one real cycle".
+  /// After a pump_round() that returned false: upper bound (capped at
+  /// `cap`) on upcoming cycles, counted from the current one, during which
+  /// this device is provably inert. 0 or 1 means "advance one real cycle".
+  /// Each inert cycle lowers the bound by exactly one.
   virtual sim::Cycle quiet_horizon(sim::Cycle /*cap*/) const { return 1; }
-  /// Advance exactly `n` cycles; n must be 1 or <= the device's last
-  /// reported quiet_horizon(). n == 1 is a real tick.
+  /// Advance exactly `n` cycles; n must be 1 or fit in what is left of
+  /// the device's last reported quiet_horizon(): the driver may spend one
+  /// horizon h as advance_quiet(1) then advance_quiet(k) with 1 + k <= h.
+  /// n == 1 is a real tick.
   virtual void advance_quiet(sim::Cycle n) {
     while (n-- > 0) step();
   }

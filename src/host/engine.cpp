@@ -42,7 +42,7 @@ const JobResult& Completion::wait(sim::Cycle max_cycles) {
     if (engine_->max_cycle() - start > max_cycles)
       throw std::runtime_error("Completion::wait: job " + std::to_string(state_->id) +
                                " did not complete within max_cycles");
-    engine_->step_quiet(kQuietStride);
+    engine_->round(kQuietStride);
   }
   return state_->result;
 }
@@ -110,7 +110,7 @@ Engine::Engine(const EngineConfig& config) : placement_(config.placement) {
     }
   }
   inflight_.resize(devices_.size());
-  completions_seen_.assign(devices_.size(), Device::kCompletionsUnknown);
+  scans_.resize(devices_.size());
   draining_.resize(devices_.size(), 0);
   devices_created_ = devices_.size();
   build_config_ = config;
@@ -128,7 +128,7 @@ Engine::Engine(std::vector<std::unique_ptr<Device>> devices, Placement placement
   if (devices_.empty()) throw std::invalid_argument("Engine: need at least one device");
   for (auto& d : devices_) sim_devices_.push_back(dynamic_cast<SimDevice*>(d.get()));
   inflight_.resize(devices_.size());
-  completions_seen_.assign(devices_.size(), Device::kCompletionsUnknown);
+  scans_.resize(devices_.size());
   draining_.resize(devices_.size(), 0);
   devices_created_ = devices_.size();
   if (num_workers > 0)
@@ -346,7 +346,6 @@ std::vector<Completion> Engine::submit_batch(const Channel& ch, std::vector<JobS
   if (retain_specs_) retained = specs;
 
   std::vector<DeviceJobId> device_jobs = dev.submit_batch(specs);
-  inflight_[device_index].reserve(inflight_[device_index].size() + device_jobs.size());
   for (std::size_t i = 0; i < device_jobs.size(); ++i) {
     auto st = std::make_shared<detail::JobState>();
     st->id = next_job_++;
@@ -365,25 +364,6 @@ std::vector<Completion> Engine::submit_batch(const Channel& ch, std::span<const 
   return submit_batch(ch, std::vector<JobSpec>(specs.begin(), specs.end()));
 }
 
-Completion Engine::submit_raw(std::size_t device_index, const ChannelInfo& channel,
-                              JobSpec spec) {
-  if (!device_alive(device_index))
-    throw std::out_of_range("Engine::submit_raw: no device " + std::to_string(device_index));
-  if (draining_[device_index] && !removal_in_progress_)
-    throw DeviceDrainingError("Engine::submit_raw: device " + devices_[device_index]->name() +
-                              " (slot " + std::to_string(device_index) +
-                              ") is draining and accepts no new work");
-  spec.channel = channel;
-  auto st = std::make_shared<detail::JobState>();
-  st->id = next_job_++;
-  st->device = device_index;
-  if (retain_specs_) st->spec = std::make_unique<JobSpec>(spec);
-  st->device_job = devices_[device_index]->submit(std::move(spec));
-  jobs_[st->id] = st;
-  track(st);
-  return Completion(this, st);
-}
-
 void Engine::finish_job(detail::JobState& st, const JobResult& result) {
   // `result` may alias the device's own bookkeeping, so copy first and
   // only forget() once nothing reads through the reference anymore.
@@ -391,26 +371,24 @@ void Engine::finish_job(detail::JobState& st, const JobResult& result) {
   st.done = true;
   ++completed_jobs_;
 
-  if (st.channel_uid != 0) {
-    auto it = channels_.find(st.channel_uid);
-    if (it != channels_.end()) {
-      // Tenant in-flight is released before callbacks fire, so a callback
-      // that resubmits (decrypt round-trip) replaces this job's slot
-      // instead of stacking on top of it.
-      tenants_.on_complete(it->second.tenant);
-      ChannelStats& s = it->second.stats;
-      ++s.completed;
-      if (!result.auth_ok) ++s.failed;
-      s.rejections += result.rejections;
-      // A job rejected unrecoverably (e.g. its channel was closed while it
-      // queued) completes with accept_cycle still 0: it has no retry or
-      // service latency to account.
-      if (result.accept_cycle >= result.submit_cycle && result.accept_cycle > 0) {
-        s.retry_latency_cycles += result.accept_cycle - result.submit_cycle;
-        s.service_latency_cycles += result.complete_cycle - result.accept_cycle;
-      }
-      s.last_complete_cycle = std::max(s.last_complete_cycle, result.complete_cycle);
+  auto it = channels_.find(st.channel_uid);
+  if (it != channels_.end()) {
+    // Tenant in-flight is released before callbacks fire, so a callback
+    // that resubmits (decrypt round-trip) replaces this job's slot
+    // instead of stacking on top of it.
+    tenants_.on_complete(it->second.tenant);
+    ChannelStats& s = it->second.stats;
+    ++s.completed;
+    if (!result.auth_ok) ++s.failed;
+    s.rejections += result.rejections;
+    // A job rejected unrecoverably (e.g. its channel was closed while it
+    // queued) completes with accept_cycle still 0: it has no retry or
+    // service latency to account.
+    if (result.accept_cycle >= result.submit_cycle && result.accept_cycle > 0) {
+      s.retry_latency_cycles += result.accept_cycle - result.submit_cycle;
+      s.service_latency_cycles += result.complete_cycle - result.accept_cycle;
     }
+    s.last_complete_cycle = std::max(s.last_complete_cycle, result.complete_cycle);
   }
   st.spec.reset();  // retained only while recovery might need it
   if (devices_[st.device]) devices_[st.device]->forget(st.device_job);
@@ -422,182 +400,94 @@ void Engine::finish_job(detail::JobState& st, const JobResult& result) {
   for (auto& fn : callbacks) fn(st.result);
 }
 
-void Engine::poll_completions() {
-  // An on_done callback may legally re-enter the engine (Completion::wait
-  // on another job calls step() -> poll_completions()), mutating the
-  // in-flight lists under us. Detach each completed entry from its list
-  // *before* running its callbacks, and rescan afterwards — indices are
-  // stale once a callback has run. Delivery order is the engine-wide
-  // submission order (ascending JobId) among the jobs that are complete,
-  // the same order the threaded drain enforces by sorting its batch.
+void Engine::deliver() {
+  // A callback may legally re-enter the engine — submit, open or close a
+  // channel, wait() on another job (nested rounds and nested deliveries),
+  // remove a device — so each job is detached from its list, and leaves
+  // the in-flight count, before its callbacks run, and every pick re-reads
+  // the fleet. A callback observing idle()/inflight() thus still sees its
+  // unfired siblings counted.
   for (;;) {
-    std::size_t best_dev = devices_.size();
-    std::size_t best_idx = 0;
+    std::size_t best = devices_.size();
     JobId best_id = 0;
     for (std::size_t d = 0; d < devices_.size(); ++d) {
       if (!devices_[d]) continue;
-      // Completion-count skip: while the device's monotone counter still
-      // reads what it read the last time a scan of this device came up
-      // empty, no in-flight entry can have turned complete — skip the
-      // whole list. Without this the rescans below are quadratic in the
-      // backlog depth, and they dominated sim-backend wall-clock.
+      // While the device's monotone completion counter stays put, the
+      // entries a scan already passed are still incomplete: resume there.
+      // An unchanged counter on a fully scanned list skips the device in
+      // O(1); a moved one (a completion anywhere: a round, a submit that
+      // failed at the seam) rescans from the front.
       const std::uint64_t count = devices_[d]->completions();
-      if (count != Device::kCompletionsUnknown && count == completions_seen_[d]) continue;
-      auto& list = inflight_[d];
-      bool any_complete = false;
-      for (std::size_t i = 0; i < list.size(); ++i) {
-        const JobResult* r = devices_[d]->result(list[i]->device_job);
-        if (r == nullptr || !r->complete) continue;
-        any_complete = true;
-        if (best_dev == devices_.size() || list[i]->id < best_id) {
-          best_dev = d;
-          best_idx = i;
-          best_id = list[i]->id;
-        }
-        // The list is ascending by JobId (appends are monotone; failover
-        // resubmission inserts in sorted position), so the first complete
-        // entry is already this device's minimum — the rest of the list
-        // cannot improve on it. Stopping here makes each lap O(incomplete
-        // prefix) instead of O(backlog), which dominated fast-backend
-        // wall clock at deep in-flight windows.
-        break;
+      Scan& scan = scans_[d];
+      if (count == Device::kCompletionsUnknown || count != scan.count) scan = Scan{0, count};
+      const auto& list = inflight_[d];
+      while (scan.incomplete < list.size()) {
+        const JobResult* r = devices_[d]->result(list[scan.incomplete]->device_job);
+        if (r != nullptr && r->complete) break;
+        ++scan.incomplete;
       }
-      // Only an empty scan freezes the count: a found completion is
-      // finished below (possibly re-entrantly), so this device must be
-      // rescanned on the next lap even at an unchanged counter.
-      if (!any_complete) completions_seen_[d] = count;
+      if (scan.incomplete == list.size()) continue;
+      // Lists are ascending by JobId, so the first complete entry is this
+      // device's minimum; the fleet minimum is the next delivery.
+      if (best == devices_.size() || list[scan.incomplete]->id < best_id) {
+        best = d;
+        best_id = list[scan.incomplete]->id;
+      }
     }
-    if (best_dev == devices_.size()) return;
-    auto& list = inflight_[best_dev];
-    std::shared_ptr<detail::JobState> st = std::move(list[best_idx]);
-    list.erase(list.begin() + static_cast<std::ptrdiff_t>(best_idx));
+    if (best == devices_.size()) return;
+    auto& list = inflight_[best];
+    const auto pos = list.begin() + static_cast<std::ptrdiff_t>(scans_[best].incomplete);
+    std::shared_ptr<detail::JobState> st = std::move(*pos);
+    list.erase(pos);
     --inflight_count_;
-    const JobResult* r = devices_[st->device]->result(st->device_job);
-    finish_job(*st, *r);
+    finish_job(*st, *devices_[best]->result(st->device_job));
   }
 }
 
-void Engine::collect_completed(std::size_t device_index) {
-  // Runs on the worker that owns `device_index` this round: scan only this
-  // device's in-flight list, funnel finished jobs into the MPSC queue, and
-  // compact the survivors in one pass (no re-entrancy can happen on a
-  // worker, so no erase-and-rescan is needed). Side effects (stats,
-  // callbacks, forget) wait for drain_completed() on the caller's thread.
-  // Same completion-count skip as the serial poll. The per-device element
-  // of completions_seen_ is touched only by this device's owning worker
-  // during the round (and by the caller's thread between rounds), so no
-  // synchronization is needed.
-  const std::uint64_t count = devices_[device_index]->completions();
-  if (count != Device::kCompletionsUnknown && count == completions_seen_[device_index]) return;
-  auto& list = inflight_[device_index];
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    const JobResult* r = devices_[device_index]->result(list[i]->device_job);
-    if (r != nullptr && r->complete) {
-      completed_.push(std::move(list[i]));
-    } else {
-      if (kept != i) list[kept] = std::move(list[i]);
-      ++kept;
-    }
-  }
-  if (kept == list.size()) completions_seen_[device_index] = count;
-  list.resize(kept);
-}
-
-void Engine::drain_completed() {
-  // Everything queued came from the round that just retired, so the pool
-  // is parked and the device state is safely readable. The batch arrives
-  // in worker-race order; sort it into engine-wide submission order so
-  // delivery matches the serial poll exactly, run to run. Completions
-  // then move into finish_queue_ (a member, not a local): a callback may
-  // re-enter the engine (submit, step, Completion::wait on a job that
-  // finished in this very round) and the nested call must be able to
-  // finish the rest of the batch — just as the serial poll leaves
-  // undetached jobs findable. Each job is popped (and leaves the
-  // in-flight count) before its callbacks run, so it fires exactly once
-  // and a callback observing idle()/inflight() sees its still-unfired
-  // siblings counted, as it would serially.
-  std::vector<std::shared_ptr<detail::JobState>> done;
-  completed_.drain(done);
-  std::sort(done.begin(), done.end(),
-            [](const std::shared_ptr<detail::JobState>& a,
-               const std::shared_ptr<detail::JobState>& b) { return a->id < b->id; });
-  for (std::shared_ptr<detail::JobState>& st : done) finish_queue_.push_back(std::move(st));
-  while (!finish_queue_.empty()) {
-    std::shared_ptr<detail::JobState> st = std::move(finish_queue_.front());
-    finish_queue_.pop_front();
-    --inflight_count_;
-    const JobResult* r = devices_[st->device]->result(st->device_job);
-    finish_job(*st, *r);  // never null: the owning worker saw it complete
-  }
-}
-
-void Engine::run_round(const std::function<void(Device&)>& op) {
-  // A round can complete at most every job currently in flight; sizing the
-  // queue up front means no producer ever blocks against a consumer that
-  // only drains after the barrier.
-  completed_.reserve(inflight_count_);
-  pool_->run(devices_.size(), [this, &op](std::size_t d) {
-    if (!devices_[d]) return;  // tombstoned slot
-    op(*devices_[d]);
-    collect_completed(d);
-  });
-  drain_completed();
-}
-
-void Engine::collect_now() {
-  // Deliver whatever is already complete without advancing any clock —
-  // recovery uses this to flush the completions a dying device produced
-  // before its kill cycle.
+template <class Op>
+void Engine::for_each_device(const Op& op) {
   if (pool_) {
-    run_round([](Device&) {});
+    pool_->run(devices_.size(), [this, &op](std::size_t d) {
+      if (devices_[d]) op(d, *devices_[d]);
+    });
     return;
   }
-  poll_completions();
+  for (std::size_t d = 0; d < devices_.size(); ++d)
+    if (devices_[d]) op(d, *devices_[d]);
 }
 
-void Engine::step() { step_quiet(1); }
-
-sim::Cycle Engine::step_quiet(sim::Cycle max_cycles) {
-  if (pool_) {
-    // Worker-pool rounds keep the classic one-step-per-device cadence: a
-    // lockstep burst would need a second barrier per round to agree on the
-    // fleet-min horizon, which costs more than it saves while any chip is
-    // busy. Serial and threaded runs stay bit-identical either way —
-    // quiet fast-forwarding never changes a trajectory, only wall-clock.
-    run_round([](Device& d) { d.step(); });
-    return 1;
-  }
-  // Phase 1: every controller runs its scheduling round at the current
-  // cycle. Devices are independent, so pumping them all before any clock
-  // moves is indistinguishable from the old pump-then-tick per device.
-  bool acted = false;
-  for (auto& d : devices_) {
-    if (!d) continue;
-    if (d->supports_quiet_burst())
-      acted |= d->pump_round();
-    else {
-      d->step();  // no burst seam: classic step (advances its own clock)
-      acted = true;
+void Engine::round(sim::Cycle max_cycles) {
+  // Pass 1: every controller runs its scheduling round at the current
+  // cycle and every clock moves one cycle. Devices are independent, so
+  // pumping them all before any clock moves is indistinguishable from
+  // pump-then-tick per device. A device that stayed quiet also reports how
+  // many cycles it stays inert (0 if it acted, has no burst seam, or the
+  // cap is one), taken before its tick. A round that moved the fleet by
+  // one cycle therefore costs one pass (one pool barrier).
+  horizon_.resize(devices_.size());
+  for_each_device([this, max_cycles](std::size_t d, Device& dev) {
+    if (!dev.supports_quiet_burst()) {
+      dev.step();
+      horizon_[d] = 0;
+      return;
     }
-  }
-  // Phase 2: agree on one fleet-wide stride. Any action (or any non-burst
-  // device, whose clock already moved) pins the stride to a single real
-  // cycle; otherwise the fleet jumps min(horizon) together, so sibling
-  // clocks never drift and every later submit lands on the same cycle
-  // stamp a per-cycle run would give it.
-  sim::Cycle q = 1;
-  if (!acted && max_cycles >= 2) {
-    q = max_cycles;
-    for (auto& d : devices_)
-      if (d && d->supports_quiet_burst()) q = std::min(q, d->quiet_horizon(max_cycles));
-    if (q < 1) q = 1;
-  }
-  for (auto& d : devices_)
-    if (d && d->supports_quiet_burst()) d->advance_quiet(q);
-  poll_completions();
-  return q;
+    const bool acted = dev.pump_round();
+    horizon_[d] = acted || max_cycles < 2 ? 0 : dev.quiet_horizon(max_cycles);
+    dev.advance_quiet(1);
+  });
+  // Pass 2: only when the whole fleet is inert for two or more cycles do
+  // the clocks go on together to the fleet-min horizon, so sibling clocks
+  // never drift and every later submit lands on the same cycle stamp a
+  // per-cycle run would give it.
+  sim::Cycle q = max_cycles;
+  for (std::size_t d = 0; d < devices_.size(); ++d)
+    if (devices_[d]) q = std::min(q, horizon_[d]);
+  if (q >= 2)
+    for_each_device([q](std::size_t, Device& dev) { dev.advance_quiet(q - 1); });
+  deliver();
 }
+
+void Engine::step() { round(1); }
 
 void Engine::run(sim::Cycle n) {
   for (sim::Cycle i = 0; i < n; ++i) step();
@@ -612,16 +502,11 @@ void Engine::advance_to(sim::Cycle target) {
   // a quiet burst never overshoots an arrival boundary: pacing relies on
   // submits landing at the cycle the workload scheduled them for.
   while (!idle() && max_cycle() < target) {
-    step_quiet(target - max_cycle());
+    round(target - max_cycle());
     if (inflight_only_on_failed()) break;
   }
-  if (pool_) {
-    run_round([target](Device& d) { d.advance_to(target); });
-    return;
-  }
-  for (auto& d : devices_)
-    if (d) d->advance_to(target);
-  poll_completions();
+  for_each_device([target](std::size_t, Device& d) { d.advance_to(target); });
+  deliver();
 }
 
 std::size_t Engine::pump(std::size_t max_rounds) {
@@ -642,8 +527,8 @@ void Engine::wait_all(sim::Cycle max_cycles) {
   while (!idle()) {
     if (max_cycle() - start > max_cycles)
       throw std::runtime_error("Engine::wait_all: jobs did not complete within max_cycles");
-    step_quiet(kQuietStride);
-    // Checked on freshly-polled state (any completion visible before a
+    round(kQuietStride);
+    // Checked on freshly-delivered state (any completion visible before a
     // device froze has just been delivered): every device still holding
     // in-flight work has failed, and stepping will never finish it.
     if (!idle() && inflight_only_on_failed())
@@ -813,14 +698,14 @@ std::size_t Engine::adopt_device(std::unique_ptr<Device> dev) {
     sim_devices_[i] = sim;
     // The slot changed occupants: a cached completion count from the old
     // device could alias the new device's count and mask its completions.
-    completions_seen_[i] = Device::kCompletionsUnknown;
+    scans_[i] = Scan{};
     draining_[i] = 0;
     return i;
   }
   devices_.push_back(std::move(dev));
   sim_devices_.push_back(sim);
   inflight_.emplace_back();
-  completions_seen_.push_back(Device::kCompletionsUnknown);
+  scans_.emplace_back();
   draining_.push_back(0);
   return devices_.size() - 1;
 }
@@ -883,7 +768,7 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
   if (rep.was_failed)
     // Flush completions the device produced before its kill cycle, so only
     // genuinely stranded jobs remain on its list.
-    collect_now();
+    deliver();
   rep.drain_cycles = max_cycle() - drain_start;
   rep.completed_during_drain = completed_jobs_ - completed_before;
 
@@ -912,11 +797,12 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
   // stays ascending-JobId, so the in-order contract holds. Jobs without a
   // retained spec or a surviving channel are lost: they complete failed,
   // after the loop so their callbacks observe the fully-migrated fleet.
-  std::vector<std::shared_ptr<detail::JobState>> stranded = std::move(inflight_[index]);
+  auto stranded = std::move(inflight_[index]);
   inflight_[index].clear();
+  scans_[index] = Scan{};
   std::vector<std::shared_ptr<detail::JobState>> lost;
   for (std::shared_ptr<detail::JobState>& st : stranded) {
-    auto cit = st->channel_uid != 0 ? channels_.find(st->channel_uid) : channels_.end();
+    auto cit = channels_.find(st->channel_uid);
     ChannelRecord* rec = cit != channels_.end() ? &cit->second : nullptr;
     if (st->spec && rec != nullptr && rec->open && !rec->orphaned) {
       JobSpec spec = *st->spec;  // keep the retained copy: devices can fail twice
@@ -925,14 +811,15 @@ DrainReport Engine::remove_device(std::size_t index, sim::Cycle max_drain_cycles
       ++st->resubmissions;
       st->device_job = devices_[rec->device]->submit(std::move(spec));
       // Keep the destination list ascending by JobId: a migrated job's id
-      // predates everything submitted since, and both the completion polls
-      // (first-complete-is-minimum early exit) and the delivery-order
-      // contract rely on sorted in-flight lists.
+      // predates everything submitted since, and deliver() (first complete
+      // entry is the device's minimum) and the delivery-order contract
+      // rely on sorted in-flight lists.
       auto& dst = inflight_[rec->device];
       auto pos = std::lower_bound(
           dst.begin(), dst.end(), st->id,
           [](const std::shared_ptr<detail::JobState>& a, JobId id) { return a->id < id; });
       dst.insert(pos, std::move(st));
+      scans_[rec->device] = Scan{};  // the insert may precede the scanned prefix
       ++rep.resubmitted_jobs;
     } else {
       lost.push_back(std::move(st));

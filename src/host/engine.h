@@ -5,24 +5,26 @@
 // devices behind one driver. The Engine owns N `host::Device`s, shards
 // channels across them with a pluggable placement policy, multiplexes any
 // number of in-flight jobs, and exposes an asynchronous submit API:
-// `submit_*()` returns a `Completion` token (callbacks + poll/wait) instead
-// of the old blocking `run_until_idle()` rendezvous. RAII `host::Channel`
-// handles auto-CLOSE their device channel slot and carry per-channel
-// statistics.
+// `submit_*()` returns a `Completion` token (callbacks + poll/wait). RAII
+// `host::Channel` handles auto-CLOSE their device channel slot and carry
+// per-channel statistics.
 //
 // Stepping is optionally multithreaded (`EngineConfig::num_workers`):
 // devices shard across a worker pool (each device remains a single-threaded
-// clock domain, pinned to one worker), and completions funnel through a
-// bounded MPSC queue drained on the caller's thread — so `Completion`
-// callbacks, `on_done` ordering guarantees and per-channel stats behave
-// exactly as they do serially: completions that fire in the same step are
-// delivered in engine-wide submission order (ascending JobId), whichever
-// worker detected them first. The Engine API itself is NOT thread-safe:
-// all public calls (submit, open_channel, step, ...) must come from one
-// thread; `num_workers` parallelizes the inside of `step()`/`advance_to()`
-// only. Threaded and serial runs are deterministic twins — devices never
-// interact, so per-device state, results and clocks are bit-identical
-// (tests/host/engine_threading_test.cpp pins this).
+// clock domain, pinned to one worker). Serial and threaded mode share one
+// round routine and one delivery routine; the worker pool only runs the
+// per-device part of a round. Completions are delivered on the caller's
+// thread, so `Completion` callbacks, `on_done` ordering guarantees and
+// per-channel stats are mode-independent: whenever the engine picks the
+// next job to deliver, it picks the complete, undelivered job with the
+// lowest JobId (engine-wide submission order) — including jobs completed
+// by rounds a callback ran and jobs that failed at submit inside a
+// callback. The Engine API itself is NOT thread-safe: all public calls
+// (submit, open_channel, step, ...) must come from one thread;
+// `num_workers` parallelizes the inside of `step()`/`advance_to()` only.
+// Threaded and serial runs are deterministic twins — devices never
+// interact, so per-device state, results, clocks and delivery order are
+// bit-identical (tests/host/engine_threading_test.cpp pins this).
 //
 // Later scaling work (work stealing across devices, non-sim backends)
 // plugs into this seam without touching clients.
@@ -30,7 +32,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -40,7 +41,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/mpsc_queue.h"
 #include "qos/tenant.h"
 #include "host/channel.h"
 #include "host/completion.h"
@@ -204,23 +204,11 @@ class Engine {
   std::vector<Completion> submit_batch(const Channel& ch, std::vector<JobSpec> specs);
   /// Copying overload for callers that keep the specs.
   std::vector<Completion> submit_batch(const Channel& ch, std::span<const JobSpec> specs);
-  /// Low-level submit against a raw channel descriptor on a specific
-  /// device; no RAII handle or channel stats involved. This is the
-  /// compatibility path the `radio::Radio` shim uses.
-  Completion submit_raw(std::size_t device_index, const ChannelInfo& channel, JobSpec spec);
 
   /// Advance every device one scheduling round and fire completions.
   /// With `num_workers` > 0 the devices advance in parallel on the pool;
   /// completions still fire here, on the calling thread, exactly once.
   void step();
-  /// One scheduling round that may fast-forward quiet fleet time: every
-  /// device's controller is pumped at the current cycle, and when none of
-  /// them acted all clocks advance together by the fleet-min quiet horizon
-  /// (capped at `max_cycles`) instead of one cycle. Bit-identical to
-  /// calling step() that many times — wait_all(), advance_to() and
-  /// Completion::wait() drive their loops through this. Returns the cycles
-  /// advanced (>= 1).
-  sim::Cycle step_quiet(sim::Cycle max_cycles);
   /// `n` engine steps (each >= 1 device cycle).
   void run(sim::Cycle n);
   /// Advance every device clock to at least `target` cycles, stepping while
@@ -374,25 +362,33 @@ class Engine {
   Completion submit(const Channel& ch, JobSpec spec);
   /// Throws the typed drain/removal error when `rec` cannot take work.
   void ensure_submittable(const ChannelRecord& rec) const;
-  /// Deliver already-complete jobs without advancing any clock.
-  void collect_now();
   const ChannelRecord* channel_record(std::uint64_t uid) const;
   void release_channel(std::uint64_t uid);
   void track(std::shared_ptr<detail::JobState> st);
-  void poll_completions();
   /// True when work is in flight but every device holding any of it has
   /// failed: stepping can never finish it (stranded; remove_device()
   /// migrates and resubmits).
   bool inflight_only_on_failed() const;
   void finish_job(detail::JobState& st, const JobResult& result);
   const ChannelStats* channel_stats(std::uint64_t uid) const;
-  /// Threaded mode: run `op` on every device via the worker pool (device i
-  /// pinned to worker i % size), each worker collecting its devices'
-  /// completions into the MPSC queue; then drain and fire them on the
-  /// calling thread.
-  void run_round(const std::function<void(Device&)>& op);
-  void collect_completed(std::size_t device_index);
-  void drain_completed();
+  /// Run `op(slot, device)` on every live device: inline in serial mode,
+  /// on the worker pool (device i pinned to worker i % size) otherwise.
+  /// The only place the two modes differ.
+  template <class Op>
+  void for_each_device(const Op& op);
+  /// The round routine: one fleet-lockstep scheduling round that may
+  /// fast-forward quiet time by up to `max_cycles`, then deliver(). Every
+  /// controller is pumped at the current cycle and every clock ticks;
+  /// when no controller acted, all clocks go on together to the fleet-min
+  /// quiet horizon instead of stopping after one cycle. Bit-identical to
+  /// that many step() calls. step(), run(), pump(), advance_to(),
+  /// wait_all() and Completion::wait() all drive their loops through this.
+  void round(sim::Cycle max_cycles);
+  /// The delivery routine: finish complete, undelivered jobs in ascending
+  /// JobId until none is left, without advancing any clock. It re-looks
+  /// after every callback, so jobs completed by a callback's nested rounds
+  /// or failed at the submit seam inside a callback fire in the same pass.
+  void deliver();
 
   std::vector<std::unique_ptr<Device>> devices_;  // null = tombstoned slot
   std::vector<SimDevice*> sim_devices_;  // parallel to devices_; null if foreign
@@ -427,29 +423,31 @@ class Engine {
   std::size_t rr_next_[2] = {0, 0};  // indexed by reconfig::CoreImage
 
   std::map<JobId, std::shared_ptr<detail::JobState>> jobs_;
-  /// In-flight jobs sharded by device, so each worker scans and trims only
-  /// its own devices' lists during a round (no cross-thread sharing; the
-  /// caller's thread owns every list between rounds).
-  std::vector<std::vector<std::shared_ptr<detail::JobState>>> inflight_;
-  /// Device::completions() value last seen by a scan that found nothing,
-  /// per device slot (kCompletionsUnknown = must scan). While the counter
-  /// sits at this value no in-flight entry can have turned complete, so
-  /// the poll/collect scans skip the device in O(1) instead of walking its
-  /// whole list — the scans were quadratic in backlog depth otherwise.
-  /// Reset whenever a slot changes occupant.
-  std::vector<std::uint64_t> completions_seen_;
+  /// In-flight jobs sharded by device, each list ascending by JobId
+  /// (appends are monotone; failover resubmission inserts in sorted
+  /// position), so a device's first complete entry is its next delivery.
+  /// Only the caller's thread touches these lists.
+  std::vector<std::deque<std::shared_ptr<detail::JobState>>> inflight_;
+  /// Per device slot: the first `incomplete` entries of its in-flight
+  /// list were incomplete when its completion counter read `count`. Until
+  /// the counter moves they still are, so deliver() resumes its scan there
+  /// and skips a fully scanned device in O(1) — scanning whole lists made
+  /// delivery quadratic in backlog depth. Reset whenever a list gains an
+  /// entry out of order or a slot changes occupant.
+  struct Scan {
+    std::size_t incomplete = 0;
+    std::uint64_t count = Device::kCompletionsUnknown;
+  };
+  std::vector<Scan> scans_;
   std::size_t inflight_count_ = 0;
   std::uint64_t completed_jobs_ = 0;
   JobId next_job_ = 1;
   std::uint8_t last_rr_ = 0;
 
   std::unique_ptr<WorkerPool> pool_;  // null = serial stepping
-  BoundedMpscQueue<std::shared_ptr<detail::JobState>> completed_{256};
-  /// Drained completions awaiting finish_job. A member so a callback that
-  /// re-enters the engine can finish jobs from the same round's batch
-  /// (matching serial semantics, where undetached complete jobs stay
-  /// findable by nested polls).
-  std::deque<std::shared_ptr<detail::JobState>> finish_queue_;
+  /// Per-slot round scratch: the quiet horizon each device reported in
+  /// pass 1 of a round (0 when it acted). Workers write distinct slots.
+  std::vector<sim::Cycle> horizon_;
 };
 
 }  // namespace mccp::host

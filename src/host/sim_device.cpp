@@ -317,13 +317,13 @@ void SimDevice::step() {
 
 void SimDevice::advance_quiet(sim::Cycle n) {
   if (n <= 1) {
-    // Either the fleet round acted somewhere or some chip is busy: this
-    // cycle must replay for real.
+    // The first cycle of a fleet round, or a one-cycle stride: replay it
+    // for real.
     sim_.step();
     return;
   }
-  // n is bounded by this chip's own quiet horizon (the Engine took the
-  // fleet min), so the O(components) fast-forward is bit-exact.
+  // n fits in what is left of this chip's own quiet horizon (the Engine
+  // took the fleet min), so the O(components) fast-forward is bit-exact.
   mccp_.advance_quiet(n);
   sim_.skip(n);
 }

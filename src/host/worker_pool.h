@@ -1,14 +1,16 @@
 // WorkerPool: a fixed set of threads running barrier-separated rounds.
 //
-// The engine's threaded stepping mode dispatches one "round" per
-// `Engine::step()`: every device advances one scheduling round, sharded
-// across the pool (task i runs on worker i % size(), so a given device is
-// always driven by the same worker — each device stays a single-threaded
-// clock domain). `run()` blocks until the whole round retires, giving the
-// caller a happens-before edge over everything the workers touched: after
-// `run()` returns, the caller may freely read or mutate device state with
-// no further synchronization, and no worker touches anything until the
-// next round is dispatched.
+// The engine's threaded stepping mode runs the per-device passes of each
+// Engine round here (one pass that moves every device one cycle, and a
+// second only for a whole-fleet quiet fast-forward), sharded across the
+// pool (task i
+// runs on worker i % size(), so a given device is always driven by the
+// same worker — each device stays a single-threaded clock domain).
+// `run()` blocks until the whole pass retires, giving the caller a
+// happens-before edge over everything the workers touched: after `run()`
+// returns, the caller may freely read or mutate device state with no
+// further synchronization, and no worker touches anything until the next
+// pass is dispatched.
 //
 // Exceptions thrown by round tasks are captured (first one wins) and
 // rethrown on the caller's thread after the round completes, so a device

@@ -2,9 +2,10 @@
 //
 // The threaded engine must be an observationally *identical* twin of the
 // serial one: same per-job payloads/tags/cycle stamps on both backends,
-// callbacks firing exactly once and on the caller's thread under heavy
-// contention (8 workers x 16 devices x 10k jobs), and no lost or
-// duplicated completions across randomized-seed repetitions. Plus direct
+// callbacks firing exactly once, on the caller's thread and in the same
+// order under heavy contention (8 workers x 16 devices x 10k jobs) and
+// re-entrancy, and no lost or duplicated completions across
+// randomized-seed repetitions. Plus direct
 // coverage of the WorkerPool round primitive itself.
 #include <gtest/gtest.h>
 
@@ -354,6 +355,79 @@ TEST(EngineThreading, CallbackMayWaitOnJobCompletedInTheSameRound) {
   EXPECT_TRUE(chained_back);  // B's own callback fired exactly once too
   EXPECT_TRUE(a.done() && b.done());
   EXPECT_EQ(a.result().complete_cycle, b.result().complete_cycle);  // same round
+}
+
+TEST(EngineThreading, CallbackWaitOnQueuedJobKeepsJobIdOrderInBothModes) {
+  // Delivery always takes the lowest complete, undelivered JobId — inside
+  // a callback's nested rounds too. P and B queue on device 1, A and C run
+  // alone on devices 0 and 2: P, A and C complete in one round. A's
+  // callback waits on B; the nested round completes B, which must still
+  // be delivered before the already-complete, later-submitted C.
+  for (std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+    Engine engine({.num_devices = 3,
+                   .device = {.num_cores = 1},
+                   .backend = Backend::kFast,
+                   .num_workers = workers});
+    Rng rng(29);
+    engine.provision_key(1, rng.bytes(16));
+    std::vector<Channel> dev;
+    for (std::size_t d = 0; d < 3; ++d) {
+      dev.push_back(engine.open_channel(ChannelMode::kGcm, 1, 16, 12));
+      ASSERT_EQ(dev.back().device_index(), d);
+    }
+
+    Completion p = engine.submit_encrypt(dev[1], rng.bytes(12), {}, rng.bytes(512));
+    Completion a = engine.submit_encrypt(dev[0], rng.bytes(12), {}, rng.bytes(512));
+    Completion b = engine.submit_encrypt(dev[1], rng.bytes(12), {}, rng.bytes(512));
+    Completion c = engine.submit_encrypt(dev[2], rng.bytes(12), {}, rng.bytes(512));
+    std::vector<JobId> order;
+    p.on_done([&](const JobResult&) { order.push_back(p.id()); });
+    a.on_done([&](const JobResult&) {
+      order.push_back(a.id());
+      b.wait();
+    });
+    b.on_done([&](const JobResult&) { order.push_back(b.id()); });
+    c.on_done([&](const JobResult&) { order.push_back(c.id()); });
+    engine.wait_all();
+
+    EXPECT_EQ(order, (std::vector<JobId>{p.id(), a.id(), b.id(), c.id()})) << workers;
+  }
+}
+
+TEST(EngineThreading, SubmitSeamFailureInCallbackFiresInTheSamePass) {
+  // A GCM submit whose IV length differs from the channel's fails at the
+  // submit seam, complete on arrival. Issued from a callback, it must be
+  // delivered by the same delivery pass — no clock moves in between — in
+  // both modes.
+  for (std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
+    Engine engine({.num_devices = 2,
+                   .device = {.num_cores = 1},
+                   .backend = Backend::kFast,
+                   .num_workers = workers});
+    Rng rng(37);
+    engine.provision_key(1, rng.bytes(16));
+    Channel ch = engine.open_channel(ChannelMode::kGcm, 1, 16, /*iv len=*/12);
+
+    Completion first = engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(512));
+    Completion failed;
+    sim::Cycle submitted_at = 0;
+    sim::Cycle fired_at = 0;
+    bool fired = false;
+    first.on_done([&](const JobResult&) {
+      submitted_at = engine.max_cycle();
+      failed = engine.submit_encrypt(ch, rng.bytes(7), {}, rng.bytes(64));
+      failed.on_done([&](const JobResult& r) {
+        EXPECT_FALSE(r.auth_ok);
+        fired = true;
+        fired_at = engine.max_cycle();
+      });
+    });
+    while (!first.done()) engine.step();
+
+    EXPECT_TRUE(fired) << workers;  // same step() call that delivered `first`
+    EXPECT_EQ(fired_at, submitted_at) << workers;
+    EXPECT_TRUE(engine.idle()) << workers;
+  }
 }
 
 }  // namespace

@@ -1,64 +1,72 @@
 // Radio / communication-controller layer: channel lifecycle, resource
-// exhaustion, decrypt-heavy traffic, and end-to-end stats plumbing.
+// exhaustion, decrypt-heavy traffic and end-to-end stats plumbing, driven
+// through a one-device host::Engine on the cycle-accurate backend; plus the
+// traffic profiles.
 #include <gtest/gtest.h>
 
 #include "common/hex.h"
 #include "common/rng.h"
 #include "crypto/ccm.h"
 #include "crypto/gcm.h"
-#include "radio/radio.h"
+#include "host/engine.h"
 #include "radio/traffic.h"
 
 namespace mccp::radio {
 namespace {
 
+using host::Channel;
+using host::Completion;
+using host::Engine;
+
 TEST(Radio, ChannelLifecycleOpenCloseReopen) {
-  Radio radio({.num_cores = 2});
+  Engine engine({.device = {.num_cores = 2}});
   Rng rng(1);
-  radio.provision_key(1, rng.bytes(16));
-  auto ch = radio.open_channel(ChannelMode::kGcm, 1, 16, 12);
-  ASSERT_TRUE(ch.has_value());
-  EXPECT_TRUE(radio.close_channel(*ch));
+  engine.provision_key(1, rng.bytes(16));
+  Channel ch = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  ASSERT_TRUE(ch.valid());
+  // Close the channel on the device itself, under the engine's handle.
+  EXPECT_TRUE(engine.device(0).close_channel(ch.info().id));
   // Traffic on a closed channel fails cleanly (job completes unauthenticated).
-  JobId job = radio.submit_encrypt(*ch, rng.bytes(12), {}, rng.bytes(32));
-  radio.run_until_idle();
-  EXPECT_TRUE(radio.result(job).complete);
-  EXPECT_FALSE(radio.result(job).auth_ok);
+  Completion job = engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(32));
+  engine.wait_all();
+  EXPECT_TRUE(job.result().complete);
+  EXPECT_FALSE(job.result().auth_ok);
   // Re-open gets the freed channel id back.
-  auto ch2 = radio.open_channel(ChannelMode::kGcm, 1, 16, 12);
-  ASSERT_TRUE(ch2.has_value());
-  EXPECT_EQ(ch2->id, ch->id);
+  Channel ch2 = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  ASSERT_TRUE(ch2.valid());
+  EXPECT_EQ(ch2.info().id, ch.info().id);
 }
 
 TEST(Radio, ChannelTableExhaustsAtSixtyFour) {
-  Radio radio({.num_cores = 1});
-  radio.provision_key(1, Bytes(16, 1));
-  std::vector<ChannelHandle> handles;
+  Engine engine({.device = {.num_cores = 1}});
+  engine.provision_key(1, Bytes(16, 1));
+  host::Device& dev = engine.device(0);
+  std::vector<host::ChannelInfo> handles;
   for (int i = 0; i < 64; ++i) {
-    auto ch = radio.open_channel(ChannelMode::kCtr, 1);
+    auto ch = dev.open_channel(ChannelMode::kCtr, 1);
     ASSERT_TRUE(ch.has_value()) << i;
     handles.push_back(*ch);
   }
-  EXPECT_FALSE(radio.open_channel(ChannelMode::kCtr, 1).has_value());
-  EXPECT_TRUE(radio.close_channel(handles[10]));
-  EXPECT_TRUE(radio.open_channel(ChannelMode::kCtr, 1).has_value());
+  EXPECT_FALSE(dev.open_channel(ChannelMode::kCtr, 1).has_value());
+  EXPECT_TRUE(dev.close_channel(handles[10].id));
+  EXPECT_TRUE(dev.open_channel(ChannelMode::kCtr, 1).has_value());
 }
 
 TEST(Radio, DecryptHeavyTrafficMix) {
   // Seal a batch in software, decrypt everything through the platform.
-  Radio radio({.num_cores = 4});
+  Engine engine({.device = {.num_cores = 4}});
   Rng rng(2);
   Bytes k1 = rng.bytes(16), k2 = rng.bytes(24);
-  radio.provision_key(1, k1);
-  radio.provision_key(2, k2);
-  auto gcm = radio.open_channel(ChannelMode::kGcm, 1, 16, 12);
-  auto ccm = radio.open_channel(ChannelMode::kCcm, 2, 8, 13);
-  ASSERT_TRUE(gcm && ccm);
+  engine.provision_key(1, k1);
+  engine.provision_key(2, k2);
+  Channel gcm = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  Channel ccm = engine.open_channel(ChannelMode::kCcm, 2, 8, 13);
+  ASSERT_TRUE(gcm.valid() && ccm.valid());
   auto keys1 = crypto::aes_expand_key(k1);
   auto keys2 = crypto::aes_expand_key(k2);
 
   struct Pkt {
-    JobId id;
+    Completion job;
     Bytes pt;
   };
   std::vector<Pkt> pkts;
@@ -67,47 +75,47 @@ TEST(Radio, DecryptHeavyTrafficMix) {
     if (i % 2 == 0) {
       Bytes iv = rng.bytes(12), aad = rng.bytes(6);
       auto sealed = crypto::gcm_seal(keys1, iv, aad, pt);
-      pkts.push_back({radio.submit_decrypt(*gcm, iv, aad, sealed.ciphertext, sealed.tag), pt});
+      pkts.push_back({engine.submit_decrypt(gcm, iv, aad, sealed.ciphertext, sealed.tag), pt});
     } else {
       Bytes nonce = rng.bytes(13), aad = rng.bytes(4);
       auto sealed =
           crypto::ccm_seal(keys2, {.tag_len = 8, .nonce_len = 13}, nonce, aad, pt);
-      pkts.push_back({radio.submit_decrypt(*ccm, nonce, aad, sealed.ciphertext, sealed.tag), pt});
+      pkts.push_back({engine.submit_decrypt(ccm, nonce, aad, sealed.ciphertext, sealed.tag), pt});
     }
   }
-  radio.run_until_idle();
+  engine.wait_all();
   for (const auto& p : pkts) {
-    ASSERT_TRUE(radio.result(p.id).complete);
-    EXPECT_TRUE(radio.result(p.id).auth_ok);
-    EXPECT_EQ(to_hex(radio.result(p.id).payload), to_hex(p.pt));
+    ASSERT_TRUE(p.job.result().complete);
+    EXPECT_TRUE(p.job.result().auth_ok);
+    EXPECT_EQ(to_hex(p.job.result().payload), to_hex(p.pt));
   }
 }
 
 TEST(Radio, GcmChannelWithNonStandardIvLength) {
   // OPEN carries the channel's IV length; non-96-bit IVs take the on-core
   // GHASH J0 derivation.
-  Radio radio({.num_cores = 2});
+  Engine engine({.device = {.num_cores = 2}});
   Rng rng(9);
   Bytes key = rng.bytes(16);
-  radio.provision_key(1, key);
-  auto ch = radio.open_channel(ChannelMode::kGcm, 1, /*tag=*/16, /*iv len=*/8);
-  ASSERT_TRUE(ch.has_value());
+  engine.provision_key(1, key);
+  Channel ch = engine.open_channel(ChannelMode::kGcm, 1, /*tag=*/16, /*iv len=*/8);
+  ASSERT_TRUE(ch.valid());
   Bytes iv = rng.bytes(8), pt = rng.bytes(128);
-  JobId job = radio.submit_encrypt(*ch, iv, {}, pt);
-  radio.run_until_idle();
+  Completion job = engine.submit_encrypt(ch, iv, {}, pt);
+  engine.wait_all();
   auto ref = crypto::gcm_seal(crypto::aes_expand_key(key), iv, {}, pt);
-  EXPECT_EQ(to_hex(radio.result(job).payload), to_hex(ref.ciphertext));
-  EXPECT_EQ(to_hex(radio.result(job).tag), to_hex(ref.tag));
+  EXPECT_EQ(to_hex(job.result().payload), to_hex(ref.ciphertext));
+  EXPECT_EQ(to_hex(job.result().tag), to_hex(ref.tag));
 }
 
 TEST(Radio, JobTimestampsAreOrdered) {
-  Radio radio({.num_cores = 1});
+  Engine engine({.device = {.num_cores = 1}});
   Rng rng(3);
-  radio.provision_key(1, rng.bytes(16));
-  auto ch = radio.open_channel(ChannelMode::kGcm, 1, 16, 12).value();
-  JobId job = radio.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(256));
-  radio.run_until_idle();
-  const auto& r = radio.result(job);
+  engine.provision_key(1, rng.bytes(16));
+  Channel ch = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  Completion job = engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(256));
+  engine.wait_all();
+  const auto& r = job.result();
   EXPECT_LE(r.submit_cycle, r.accept_cycle);
   EXPECT_LT(r.accept_cycle, r.complete_cycle);
 }
@@ -148,70 +156,34 @@ TEST(Traffic, CtrCountersAreIncSafe) {
 }
 
 TEST(Radio, PerCoreStatisticsAccumulate) {
-  Radio radio({.num_cores = 2});
+  Engine engine({.device = {.num_cores = 2}});
   Rng rng(4);
-  radio.provision_key(1, rng.bytes(16));
-  auto ch = radio.open_channel(ChannelMode::kGcm, 1, 16, 12).value();
-  for (int i = 0; i < 4; ++i) radio.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(512));
-  radio.run_until_idle();
+  engine.provision_key(1, rng.bytes(16));
+  Channel ch = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  for (int i = 0; i < 4; ++i) engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(512));
+  engine.wait_all();
+  const top::Mccp& mccp = engine.sim_device(0)->mccp();
   std::uint64_t total_tasks = 0, total_aes = 0;
-  for (std::size_t i = 0; i < radio.mccp().num_cores(); ++i) {
-    total_tasks += radio.mccp().core(i).tasks_completed();
-    total_aes += radio.mccp().core(i).unit().aes_blocks();
+  for (std::size_t i = 0; i < mccp.num_cores(); ++i) {
+    total_tasks += mccp.core(i).tasks_completed();
+    total_aes += mccp.core(i).unit().aes_blocks();
   }
   EXPECT_EQ(total_tasks, 4u);
   // 512 B = 32 blocks -> >= 33 AES per packet (keystream + H + wasted + tag).
   EXPECT_GE(total_aes, 4u * 34u);
-  EXPECT_EQ(radio.mccp().requests_completed(), 4u);
-}
-
-TEST(Radio, ResultLookupHasClearErrors) {
-  // An unknown JobId used to surface as a bare std::map::at throw; now it
-  // is a descriptive std::out_of_range, with try_result as the
-  // non-throwing variant. A known-but-pending id stays readable as a
-  // partial (complete == false), as it always was.
-  Radio radio({.num_cores = 1});
-  Rng rng(77);
-  radio.provision_key(1, rng.bytes(16));
-  auto ch = radio.open_channel(ChannelMode::kGcm, 1, 16, 12).value();
-
-  EXPECT_EQ(radio.try_result(12345), nullptr);
-  EXPECT_THROW(
-      {
-        try {
-          radio.result(12345);
-        } catch (const std::out_of_range& e) {
-          EXPECT_NE(std::string(e.what()).find("unknown JobId"), std::string::npos);
-          throw;
-        }
-      },
-      std::out_of_range);
-
-  JobId job = radio.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(64));
-  ASSERT_NE(radio.try_result(job), nullptr);
-  EXPECT_FALSE(radio.result(job).complete);  // in-flight partial
-  radio.run_until_idle();
-  EXPECT_TRUE(radio.result(job).complete);
-}
-
-TEST(Radio, ShimExposesUnderlyingEngine) {
-  // Radio is a compatibility shim over a one-device host::Engine; the
-  // engine is reachable for incremental migration.
-  Radio radio({.num_cores = 2});
-  EXPECT_EQ(radio.engine().num_devices(), 1u);
-  EXPECT_TRUE(radio.engine().idle());
-  EXPECT_EQ(&radio.mccp(), &radio.engine().sim_device(0)->mccp());
+  EXPECT_EQ(mccp.requests_completed(), 4u);
 }
 
 TEST(Radio, TraceRecordsSchedulerDecisions) {
-  Radio radio({.num_cores = 1});
-  radio.mccp().trace().enable(true);
+  Engine engine({.device = {.num_cores = 1}});
+  top::Mccp& mccp = engine.sim_device(0)->mccp();
+  mccp.trace().enable(true);
   Rng rng(5);
-  radio.provision_key(1, rng.bytes(16));
-  auto ch = radio.open_channel(ChannelMode::kGcm, 1, 16, 12).value();
-  radio.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(64));
-  radio.run_until_idle();
-  std::string log = radio.mccp().trace().to_string();
+  engine.provision_key(1, rng.bytes(16));
+  Channel ch = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
+  engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(64));
+  engine.wait_all();
+  std::string log = mccp.trace().to_string();
   EXPECT_NE(log.find("OPEN channel"), std::string::npos);
   EXPECT_NE(log.find("ENCRYPT req"), std::string::npos);
   EXPECT_NE(log.find("TRANSFER_DONE"), std::string::npos);
