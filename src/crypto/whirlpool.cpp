@@ -1,5 +1,7 @@
 #include "crypto/whirlpool.h"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace mccp::crypto {
@@ -12,26 +14,6 @@ constexpr std::uint8_t kE[16] = {0x1, 0xB, 0x9, 0xC, 0xD, 0x6, 0xF, 0x3,
                                  0xE, 0x8, 0x7, 0x4, 0xA, 0x2, 0x5, 0x0};
 constexpr std::uint8_t kR[16] = {0x7, 0xC, 0xB, 0xD, 0xE, 0x4, 0x9, 0xF,
                                  0x6, 0x3, 0x8, 0xA, 0x2, 0x5, 0x1, 0x0};
-
-struct WpTables {
-  std::array<std::uint8_t, 256> sbox{};
-  WpTables() {
-    std::uint8_t einv[16];
-    for (int i = 0; i < 16; ++i) einv[kE[i]] = static_cast<std::uint8_t>(i);
-    for (int x = 0; x < 256; ++x) {
-      std::uint8_t hi = kE[x >> 4];
-      std::uint8_t lo = einv[x & 0xF];
-      std::uint8_t y = kR[hi ^ lo];
-      sbox[static_cast<std::size_t>(x)] =
-          static_cast<std::uint8_t>((kE[hi ^ y] << 4) | einv[lo ^ y]);
-    }
-  }
-};
-
-const WpTables& wp() {
-  static const WpTables t;
-  return t;
-}
 
 // GF(2^8) with the Whirlpool polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D).
 constexpr std::uint8_t wp_xtime(std::uint8_t a) {
@@ -50,6 +32,60 @@ std::uint8_t wp_mul(std::uint8_t a, std::uint8_t b) {
 // The MDS diffusion matrix is circulant: row 0 is (1, 1, 4, 1, 8, 5, 2, 9),
 // row r is row 0 rotated right by r.
 constexpr std::uint8_t kCir[8] = {0x01, 0x01, 0x04, 0x01, 0x08, 0x05, 0x02, 0x09};
+
+struct WpTables {
+  std::array<std::uint8_t, 256> sbox{};
+  // Table form (Barreto & Rijmen): with each state row held as a big-endian
+  // uint64_t, cir[c][x] is the row S(x) * (row c of the circulant matrix),
+  // so a round's SubBytes + ShiftColumns + MixRows is 64 lookups (rho()).
+  // cir[c] is cir[0] rotated right by c bytes.
+  std::array<std::array<std::uint64_t, 256>, 8> cir{};
+  // Round constant r+1 as a row word: its first row is S[8r] .. S[8r+7];
+  // the other seven rows are zero.
+  std::array<std::uint64_t, Whirlpool::kRounds> rc{};
+
+  WpTables() {
+    std::uint8_t einv[16];
+    for (int i = 0; i < 16; ++i) einv[kE[i]] = static_cast<std::uint8_t>(i);
+    for (int x = 0; x < 256; ++x) {
+      std::uint8_t hi = kE[x >> 4];
+      std::uint8_t lo = einv[x & 0xF];
+      std::uint8_t y = kR[hi ^ lo];
+      sbox[static_cast<std::size_t>(x)] =
+          static_cast<std::uint8_t>((kE[hi ^ y] << 4) | einv[lo ^ y]);
+    }
+    for (std::size_t x = 0; x < 256; ++x) {
+      std::uint64_t row = 0;
+      for (std::uint8_t coef : kCir) row = (row << 8) | wp_mul(sbox[x], coef);
+      for (std::size_t c = 0; c < 8; ++c) cir[c][x] = std::rotr(row, static_cast<int>(8 * c));
+    }
+    for (std::size_t r = 0; r < rc.size(); ++r) rc[r] = load_be64(sbox.data() + 8 * r);
+  }
+};
+
+const WpTables& wp() {
+  static const WpTables t;
+  return t;
+}
+
+// --- Table form ------------------------------------------------------------
+
+using Rows = std::array<std::uint64_t, 8>;
+
+// theta(pi(gamma(a))): output row i takes byte c of input row (i - c) mod 8
+// (ShiftColumns moves column c down by c) through table c.
+Rows rho(const Rows& a, const WpTables& t) {
+  Rows o;
+  for (std::size_t i = 0; i < 8; ++i) {
+    std::uint64_t w = 0;
+    for (std::size_t c = 0; c < 8; ++c)
+      w ^= t.cir[c][(a[(i - c) & 7] >> (56 - 8 * c)) & 0xFF];
+    o[i] = w;
+  }
+  return o;
+}
+
+// --- Bytewise reference form -----------------------------------------------
 
 // State is an 8x8 matrix of bytes; 512-bit blocks map to it row-major
 // (byte k -> row k/8, column k%8).
@@ -105,6 +141,26 @@ State round_constant(int r) {
 std::uint8_t whirlpool_sbox(std::uint8_t x) { return wp().sbox[x]; }
 
 void whirlpool_compress(std::array<std::uint8_t, 64>& h, const std::uint8_t block[64]) {
+  const WpTables& t = wp();
+  Rows k, m, s;
+  for (std::size_t i = 0; i < 8; ++i) {
+    k[i] = load_be64(h.data() + 8 * i);
+    m[i] = load_be64(block + 8 * i);
+    s[i] = m[i] ^ k[i];  // sigma[K^0]
+  }
+  for (std::uint64_t rc : t.rc) {
+    k = rho(k, t);
+    k[0] ^= rc;
+    s = rho(s, t);
+    for (std::size_t i = 0; i < 8; ++i) s[i] ^= k[i];
+  }
+  // Miyaguchi-Preneel: H <- W(H, m) ^ H ^ m.
+  for (std::size_t i = 0; i < 8; ++i)
+    store_be64(h.data() + 8 * i, load_be64(h.data() + 8 * i) ^ s[i] ^ m[i]);
+}
+
+void whirlpool_compress_reference(std::array<std::uint8_t, 64>& h,
+                                  const std::uint8_t block[64]) {
   State m;
   std::memcpy(m.data(), block, 64);
   State k;
@@ -119,14 +175,11 @@ void whirlpool_compress(std::array<std::uint8_t, 64>& h, const std::uint8_t bloc
 }
 
 Bytes whirlpool_pad(ByteSpan message) {
-  Bytes out(message.begin(), message.end());
-  out.push_back(0x80);
-  while (out.size() % 64 != 32) out.push_back(0);
-  std::uint64_t bits = static_cast<std::uint64_t>(message.size()) * 8;
-  Bytes len(32, 0);  // 256-bit length field, we carry the low 64 bits
-  for (int i = 0; i < 8; ++i)
-    len[24 + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(bits >> (8 * (7 - i)));
-  out.insert(out.end(), len.begin(), len.end());
+  Bytes out(whirlpool_padded_len(message.size()), 0);
+  std::copy(message.begin(), message.end(), out.begin());
+  out[message.size()] = 0x80;
+  // 256-bit length field; we carry the low 64 bits.
+  store_be64(out.data() + out.size() - 8, static_cast<std::uint64_t>(message.size()) * 8);
   return out;
 }
 
@@ -159,17 +212,9 @@ std::array<std::uint8_t, Whirlpool::kDigestSize> Whirlpool::digest() {
   // Pad: 0x80, zeros to 32 mod 64, then a 256-bit big-endian bit length
   // (we only track 64 bits of it; the upper 192 bits are zero).
   std::array<std::uint8_t, 2 * kBlockSize> pad{};
-  std::size_t pad_len;
-  std::size_t rem = buf_len_;
+  const std::size_t pad_len = whirlpool_padded_len(total_bytes_) - total_bytes_;
   pad[0] = 0x80;
-  // Bytes needed after the 0x80 so that total length mod 64 == 32.
-  std::size_t after = (rem + 1) % kBlockSize;
-  std::size_t zeros = (after <= 32) ? (32 - after) : (kBlockSize + 32 - after);
-  pad_len = 1 + zeros + 32;
-  std::uint64_t bits = total_bytes_ * 8;
-  for (int i = 0; i < 8; ++i)
-    pad[pad_len - 8 + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(bits >> (8 * (7 - i)));
+  store_be64(pad.data() + pad_len - 8, total_bytes_ * 8);
   update(ByteSpan(pad.data(), pad_len));
   // After padding, buf_len_ is zero and total length is block-aligned.
   std::array<std::uint8_t, kDigestSize> out;

@@ -9,6 +9,12 @@
 // block cipher W: an 8x8 byte state, 10 rounds of SubBytes (S-box built from
 // E/E^-1/R mini-boxes), ShiftColumns, MixRows (circulant MDS matrix over
 // GF(2^8) mod x^8+x^4+x^3+x^2+1) and AddRoundKey.
+//
+// whirlpool_compress runs in the table form of Barreto & Rijmen: each state
+// row is one uint64_t, and eight 256-entry tables fuse SubBytes,
+// ShiftColumns and MixRows, so a round is 64 lookups for the key schedule
+// and 64 for the state. The bytewise round functions are kept as
+// whirlpool_compress_reference, the oracle the table form is tested against.
 #pragma once
 
 #include <array>
@@ -57,6 +63,11 @@ std::uint8_t whirlpool_sbox(std::uint8_t x);
 /// the Cryptographic Unit performs per 64-byte block; padding is the
 /// communication controller's job (format_whirlpool_hash).
 void whirlpool_compress(std::array<std::uint8_t, 64>& h, const std::uint8_t block[64]);
+
+/// The same step computed bytewise, one round function at a time, straight
+/// from the standard's definitions. Test oracle for whirlpool_compress.
+void whirlpool_compress_reference(std::array<std::uint8_t, 64>& h,
+                                  const std::uint8_t block[64]);
 
 /// Total length in bytes of a message of `n` bytes after Whirlpool padding
 /// (0x80, zeros to 32 mod 64, 256-bit big-endian bit count). Always a
