@@ -25,7 +25,7 @@ double small_packet_throughput(bool key_cache) {
 
 double throughput_with_control_latency(int latency) {
   auto m = measure_platform({.num_cores = 4, .control_latency_cycles = latency},
-                            radio::ChannelMode::kGcm, 16, 2048, 16, 16, 12);
+                            host::ChannelMode::kGcm, 16, 2048, 16, 16, 12);
   return m.aggregate_mbps;
 }
 

@@ -28,7 +28,6 @@
 #include "crypto/ccm.h"
 #include "crypto/kernels.h"
 #include "host/engine.h"
-#include "radio/traffic.h"
 #include "sim/simulation.h"
 #include "workload/runner.h"
 
@@ -202,7 +201,7 @@ inline void print_header(const std::string& title) {
   std::printf("%s\n", std::string(title.size(), '-').c_str());
 }
 
-/// The scenario report table shared by scenario_runner and net_swarm.
+/// The scenario report table scenario_runner prints for every transport.
 /// `transport_note` is appended to the header ("" for in-process runs).
 inline void print_scenario_report(const mccp::workload::ScenarioReport& r,
                                   const std::string& transport_note = "") {

@@ -1,6 +1,6 @@
 // Shared plumbing for the networked-service benches (net_server,
-// net_swarm, scenario_runner --transport net): self-hosting a loopback
-// server on a background thread, and HOST:PORT parsing.
+// scenario_runner --transport net): self-hosting a loopback server on a
+// background thread, and HOST:PORT parsing.
 #pragma once
 
 #include <memory>

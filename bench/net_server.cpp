@@ -3,8 +3,8 @@
 // Builds the fleet a scenario file describes (devices x cores, backend,
 // slot personalities) — or a default one-device fast fleet — binds the
 // MCCP/1 TCP endpoint, prints the listening port, and serves until
-// SIGINT/SIGTERM. Pair with `net_swarm --connect` or
-// `scenario_runner --transport net --connect` on the other side.
+// SIGINT/SIGTERM. Pair with `scenario_runner --transport net --connect`
+// on the other side.
 //
 // Flags:
 //   --scenario PATH   fleet shape from this scenario spec (classes are

@@ -115,7 +115,6 @@ Engine::Engine(const EngineConfig& config) : placement_(config.placement) {
   devices_created_ = devices_.size();
   build_config_ = config;
   config_built_ = true;
-  retain_specs_ = config.retain_specs || !config.faults.empty();
   for (const qos::TenantConfig& t : config.tenants) tenants_.register_tenant(t);
   for (const DeviceFault& f : config.faults) inject_fault(f.device, f.kill_at_cycle);
   if (config.num_workers > 0)
@@ -282,7 +281,7 @@ Completion Engine::submit(const Channel& ch, JobSpec spec) {
   ++rec.stats.submitted;
   rec.stats.payload_bytes += spec.payload.size();
 
-  if (retain_specs_) st->spec = std::make_unique<JobSpec>(spec);
+  if (keep_specs_) st->spec = std::make_unique<JobSpec>(spec);
   st->device_job = devices_[st->device]->submit(std::move(spec));
   jobs_[st->id] = st;
   track(st);
@@ -343,7 +342,7 @@ std::vector<Completion> Engine::submit_batch(const Channel& ch, std::vector<JobS
 
   // Spec retention copies the burst before the device consumes it.
   std::vector<JobSpec> retained;
-  if (retain_specs_) retained = specs;
+  if (keep_specs_) retained = specs;
 
   std::vector<DeviceJobId> device_jobs = dev.submit_batch(specs);
   for (std::size_t i = 0; i < device_jobs.size(); ++i) {
@@ -352,7 +351,7 @@ std::vector<Completion> Engine::submit_batch(const Channel& ch, std::vector<JobS
     st->device = device_index;
     st->channel_uid = ch.uid_;
     st->device_job = device_jobs[i];
-    if (retain_specs_) st->spec = std::make_unique<JobSpec>(std::move(retained[i]));
+    if (keep_specs_) st->spec = std::make_unique<JobSpec>(std::move(retained[i]));
     jobs_[st->id] = st;
     track(st);
     completions.push_back(Completion(this, std::move(st)));
@@ -673,7 +672,7 @@ bool Engine::draining(std::size_t index) const {
 void Engine::inject_fault(std::size_t index, sim::Cycle kill_at_cycle) {
   if (!device_alive(index))
     throw std::out_of_range("Engine::inject_fault: no device at slot " + std::to_string(index));
-  retain_specs_ = true;  // stranded jobs must be recoverable
+  keep_specs_ = true;  // stranded jobs must be recoverable
   if (auto* already = dynamic_cast<FaultyDevice*>(devices_[index].get())) {
     already->schedule_kill(kill_at_cycle);
     return;

@@ -113,14 +113,10 @@ struct EngineConfig {
   /// caller's thread, in both modes.
   std::size_t num_workers = 0;
   /// Scripted device deaths (fault injection): each listed device is
-  /// wrapped in a FaultyDevice at construction. A non-empty list implies
-  /// `retain_specs`, so stranded jobs can be resubmitted on recovery.
+  /// wrapped in a FaultyDevice at construction, and the engine keeps a
+  /// copy of every submitted JobSpec until its job completes, so
+  /// `remove_device()` can resubmit work stranded on the failed device.
   std::vector<DeviceFault> faults{};
-  /// Keep a copy of every submitted JobSpec until its job completes, so
-  /// `remove_device()` can resubmit work stranded on a failed device.
-  /// Costs one spec copy per submit; implied by `faults` and by
-  /// `inject_fault()`.
-  bool retain_specs = false;
   /// Multi-tenant QoS: tenants registered at construction (dense 1-based
   /// ids in declaration order). Channels opened with a tenant id are
   /// metered against the tenant's rate bucket and in-flight quota at every
@@ -321,7 +317,6 @@ class Engine {
   std::uint64_t reconfigurations() const;
   std::uint64_t reconfig_stall_cycles() const;
   std::uint64_t reconfigurations_to(reconfig::CoreImage img) const;
-  Placement placement() const { return placement_; }
   /// Pool threads stepping the fleet (0 = serial mode).
   std::size_t num_workers() const { return pool_ ? pool_->size() : 0; }
 
@@ -405,7 +400,9 @@ class Engine {
   EngineConfig build_config_{};
   bool config_built_ = false;
   std::size_t devices_created_ = 0;  // monotonic, for unique device names
-  bool retain_specs_ = false;
+  /// Set by inject_fault(): keep each submitted JobSpec until completion so
+  /// remove_device() can resubmit jobs stranded on a dead device.
+  bool keep_specs_ = false;
   /// Inside remove_device(): its own drain must keep accepting the
   /// re-entrant submits completion callbacks issue (decrypt round-trips),
   /// so the draining-device typed error is suspended for the scope.

@@ -112,9 +112,6 @@ std::optional<std::uint64_t> Mccp::begin_core_reconfiguration(std::size_t core_i
   ++reconfigurations_done_;
   reconfig_stall_cycles_ += reconfig_[core_idx].remaining;
   ++reconfig_to_[static_cast<std::size_t>(image)];
-  trace_.record(cycle_, "scheduler",
-                "reconfiguring core " + std::to_string(core_idx) + " -> " +
-                    reconfig::image_name(image));
   return reconfig_[core_idx].remaining;
 }
 
@@ -126,9 +123,6 @@ void Mccp::tick_reconfiguration() {
       r.image = r.target;
       cores_[i]->set_personality(personality_for(r.image));
       core_allocated_[i] = false;
-      trace_.record(cycle_, "scheduler",
-                    "core " + std::to_string(i) + " now hosts " +
-                        reconfig::image_name(r.image));
     }
   }
 }
@@ -169,7 +163,6 @@ void Mccp::exec_open(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
   for (std::uint8_t id = 0; id < 64; ++id) {
     if (!channels_.count(id)) {
       channels_[id] = Channel{mode, b, tag_len, nonce_len};
-      trace_.record(cycle_, "scheduler", "OPEN channel " + std::to_string(id));
       return finish(make_ok(id));
     }
   }
@@ -178,7 +171,6 @@ void Mccp::exec_open(std::uint8_t a, std::uint8_t b, std::uint8_t c) {
 
 void Mccp::exec_close(std::uint8_t a) {
   if (!channels_.erase(a)) return finish(make_error(ControlError::kNoChannel));
-  trace_.record(cycle_, "scheduler", "CLOSE channel " + std::to_string(a));
   finish(make_ok(a));
 }
 
@@ -262,9 +254,6 @@ void Mccp::exec_crypt(bool decrypt, std::uint8_t chan, std::uint8_t header_block
   if (ch.mode != ChannelMode::kWhirlpool)
     for (std::size_t lane : req.info.lanes)
       key_scheduler_.request_load(cores_[lane].get(), ch.key_id);
-  trace_.record(cycle_, "scheduler",
-                std::string(decrypt ? "DECRYPT" : "ENCRYPT") + " req " + std::to_string(*rid) +
-                    " on " + std::to_string(req.info.lanes.size()) + " core(s)");
   requests_[*rid] = std::move(req);
   starting_request_ = *rid;
   ctrl_state_ = CtrlState::kWaitKeys;
@@ -310,7 +299,6 @@ void Mccp::exec_transfer_done(std::uint8_t id) {
     crossbar_->close(lane);
     core_allocated_[lane] = false;
   }
-  trace_.record(cycle_, "scheduler", "TRANSFER_DONE req " + std::to_string(id));
   requests_.erase(it);
   finish(make_ok(id));
 }
@@ -365,8 +353,6 @@ void Mccp::scan_requests() {
       req.announced = true;
       available_.push_back({id, req.auth_ok});
     }
-    trace_.record(cycle_, "scheduler",
-                  "req " + std::to_string(id) + (req.auth_ok ? " done" : " AUTH FAIL"));
   }
 }
 

@@ -28,7 +28,6 @@
 #include "mccp/key_store.h"
 #include "reconfig/reconfig.h"
 #include "sim/clocked.h"
-#include "sim/trace.h"
 
 namespace mccp::top {
 
@@ -137,7 +136,6 @@ class Mccp final : public sim::Clocked {
   std::uint64_t requests_completed() const { return requests_completed_; }
   std::uint64_t requests_rejected() const { return requests_rejected_; }
   std::size_t idle_core_count() const;
-  sim::Trace& trace() { return trace_; }
 
   void tick() override;
   std::string name() const override { return "mccp"; }
@@ -228,7 +226,6 @@ class Mccp final : public sim::Clocked {
   std::uint64_t cycle_ = 0;
   std::uint64_t requests_completed_ = 0;
   std::uint64_t requests_rejected_ = 0;
-  sim::Trace trace_;
 };
 
 }  // namespace mccp::top

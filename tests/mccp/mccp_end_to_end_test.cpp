@@ -13,7 +13,7 @@
 #include "crypto/ctr.h"
 #include "crypto/gcm.h"
 #include "host/engine.h"
-#include "radio/traffic.h"
+#include "workload/jobgen.h"
 
 namespace mccp::host {
 namespace {
@@ -227,25 +227,35 @@ TEST(EndToEnd, BusyRejectionsAreRetriedTransparently) {
 
 TEST(EndToEnd, TrafficMixRunsToCompletion) {
   Engine engine = one_device({.num_cores = 4, .ccm_mapping = top::CcmMapping::kSingleCore});
-  Rng rng(9);
-  std::vector<radio::ChannelProfile> profiles = {
-      radio::wifi_ccmp_profile(), radio::satcom_gcm_profile(), radio::voice_ctr_profile()};
+  constexpr std::uint64_t kSeed = 4242;
+  std::vector<workload::ClassSpec> classes;
+  for (const char* name : {"bulk", "video", "voip", "control"})
+    classes.push_back({.profile = workload::preset_class(name), .packets = 3});
   std::vector<Channel> channels;
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    engine.provision_key(static_cast<top::KeyId>(i + 1), rng.bytes(profiles[i].key_len));
-    Channel ch = engine.open_channel(profiles[i].mode, static_cast<top::KeyId>(i + 1),
-                                     profiles[i].tag_len, profiles[i].nonce_len);
-    ASSERT_TRUE(ch.valid()) << profiles[i].name;
+  std::vector<workload::ClassJobStream> streams;
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    const workload::ChannelClass& p = classes[i].profile;
+    const auto key_id = static_cast<top::KeyId>(i + 1);
+    engine.provision_key(key_id, workload::class_key(kSeed, i, p.key_len));
+    Channel ch = engine.open_channel(p.mode, key_id, p.tag_len, p.nonce_len);
+    ASSERT_TRUE(ch.valid()) << p.name;
     channels.push_back(std::move(ch));
+    streams.emplace_back(classes[i], kSeed, i, /*max_cycles=*/0);
   }
-  auto packets = radio::generate_mix(profiles, 12, 4242);
-  std::size_t completed = 0;
-  for (const auto& pkt : packets)
-    engine
-        .submit_encrypt(channels[pkt.profile_index], pkt.iv_or_nonce, pkt.aad, pkt.payload)
-        .on_done([&completed](const JobResult& r) { completed += r.complete ? 1 : 0; });
+  std::size_t submitted = 0, completed = 0;
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    while (!streams[i].exhausted()) {
+      JobSpec spec = streams[i].take().job;
+      engine
+          .submit_encrypt(channels[i], std::move(spec.iv_or_nonce), std::move(spec.aad),
+                          std::move(spec.payload))
+          .on_done([&completed](const JobResult& r) { completed += r.complete ? 1 : 0; });
+      ++submitted;
+    }
+  }
   engine.wait_all();
-  EXPECT_EQ(completed, packets.size());
+  EXPECT_EQ(submitted, 12u);
+  EXPECT_EQ(completed, submitted);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Radio / communication-controller layer: channel lifecycle, resource
 // exhaustion, decrypt-heavy traffic and end-to-end stats plumbing, driven
-// through a one-device host::Engine on the cycle-accurate backend; plus the
-// traffic profiles.
+// through a one-device host::Engine on the cycle-accurate backend.
 #include <gtest/gtest.h>
 
 #include "common/hex.h"
@@ -9,12 +8,12 @@
 #include "crypto/ccm.h"
 #include "crypto/gcm.h"
 #include "host/engine.h"
-#include "radio/traffic.h"
 
 namespace mccp::radio {
 namespace {
 
 using host::Channel;
+using host::ChannelMode;
 using host::Completion;
 using host::Engine;
 
@@ -120,41 +119,6 @@ TEST(Radio, JobTimestampsAreOrdered) {
   EXPECT_LT(r.accept_cycle, r.complete_cycle);
 }
 
-TEST(Traffic, ProfilesAreWellFormed) {
-  for (const auto& p : {wifi_ccmp_profile(), wimax_ccm_profile(), satcom_gcm_profile(),
-                        voice_ctr_profile(), telemetry_cbcmac_profile()}) {
-    EXPECT_FALSE(p.name.empty());
-    EXPECT_EQ(p.packet_len % 16, 0u) << p.name;
-    EXPECT_TRUE(p.key_len == 16 || p.key_len == 24 || p.key_len == 32) << p.name;
-    if (p.mode == ChannelMode::kCcm) {
-      EXPECT_TRUE(crypto::ccm_params_valid({p.tag_len, p.nonce_len})) << p.name;
-    }
-  }
-}
-
-TEST(Traffic, GenerateMixIsDeterministicAndRoundRobin) {
-  std::vector<ChannelProfile> profiles = {voice_ctr_profile(), satcom_gcm_profile()};
-  auto a = generate_mix(profiles, 10, 99);
-  auto b = generate_mix(profiles, 10, 99);
-  ASSERT_EQ(a.size(), 10u);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].profile_index, i % 2);
-    EXPECT_EQ(a[i].payload, b[i].payload);
-    EXPECT_EQ(a[i].iv_or_nonce, b[i].iv_or_nonce);
-  }
-  auto c = generate_mix(profiles, 10, 100);
-  EXPECT_NE(a[0].payload, c[0].payload);  // different seed, different data
-}
-
-TEST(Traffic, CtrCountersAreIncSafe) {
-  auto packets = generate_mix({voice_ctr_profile()}, 20, 7);
-  for (const auto& p : packets) {
-    ASSERT_EQ(p.iv_or_nonce.size(), 16u);
-    EXPECT_EQ(p.iv_or_nonce[14], 0);
-    EXPECT_EQ(p.iv_or_nonce[15], 0);
-  }
-}
-
 TEST(Radio, PerCoreStatisticsAccumulate) {
   Engine engine({.device = {.num_cores = 2}});
   Rng rng(4);
@@ -172,21 +136,6 @@ TEST(Radio, PerCoreStatisticsAccumulate) {
   // 512 B = 32 blocks -> >= 33 AES per packet (keystream + H + wasted + tag).
   EXPECT_GE(total_aes, 4u * 34u);
   EXPECT_EQ(mccp.requests_completed(), 4u);
-}
-
-TEST(Radio, TraceRecordsSchedulerDecisions) {
-  Engine engine({.device = {.num_cores = 1}});
-  top::Mccp& mccp = engine.sim_device(0)->mccp();
-  mccp.trace().enable(true);
-  Rng rng(5);
-  engine.provision_key(1, rng.bytes(16));
-  Channel ch = engine.open_channel(ChannelMode::kGcm, 1, 16, 12);
-  engine.submit_encrypt(ch, rng.bytes(12), {}, rng.bytes(64));
-  engine.wait_all();
-  std::string log = mccp.trace().to_string();
-  EXPECT_NE(log.find("OPEN channel"), std::string::npos);
-  EXPECT_NE(log.find("ENCRYPT req"), std::string::npos);
-  EXPECT_NE(log.find("TRANSFER_DONE"), std::string::npos);
 }
 
 }  // namespace
