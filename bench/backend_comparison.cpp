@@ -35,6 +35,12 @@ struct RunStats {
   double mean_latency_cycles = 0;
 };
 
+/// Host wall per packet. The fleet sweep grows its packet count with the
+/// fleet, so total wall alone hides any per-packet rise.
+double us_per_packet(double wall_ms, std::size_t packets) {
+  return wall_ms * 1000.0 / static_cast<double>(packets);
+}
+
 RunStats run_workload(host::Backend backend, std::size_t num_devices, std::size_t packets,
                       std::size_t payload_len) {
   host::Engine engine({.num_devices = num_devices,
@@ -124,8 +130,8 @@ void run(std::size_t packets, const char* json_path, const char* trajectory_path
               100.0 * (fast.modeled_mbps - sim.modeled_mbps) / sim.modeled_mbps);
 
   print_header("FastDevice fleet scaling -- 2 KB GCM, 4-core devices, heavy offered load");
-  std::printf("%-9s %-10s %-14s %-16s %-10s\n", "devices", "packets", "wall (ms)",
-              "modeled Mbps", "scaling");
+  std::printf("%-9s %-10s %-14s %-12s %-16s %-10s\n", "devices", "packets", "wall (ms)",
+              "us/packet", "modeled Mbps", "scaling");
   struct FleetPoint {
     std::size_t devices;
     RunStats stats;
@@ -136,8 +142,9 @@ void run(std::size_t packets, const char* json_path, const char* trajectory_path
     std::size_t fleet_packets = packets * n;
     RunStats s = run_workload(host::Backend::kFast, n, fleet_packets, kPayload);
     if (n == 1) base_mbps = s.modeled_mbps;
-    std::printf("%-9zu %-10zu %-14.1f %-16.1f %.2fx\n", n, fleet_packets, s.wall_ms,
-                s.modeled_mbps, s.modeled_mbps / base_mbps);
+    std::printf("%-9zu %-10zu %-14.1f %-12.2f %-16.1f %.2fx\n", n, fleet_packets, s.wall_ms,
+                us_per_packet(s.wall_ms, fleet_packets), s.modeled_mbps,
+                s.modeled_mbps / base_mbps);
     fleet.push_back({n, s});
   }
   std::printf("\nThe functional backend keeps the calibrated cycle accounting (modeled\n"
@@ -166,6 +173,7 @@ void run(std::size_t packets, const char* json_path, const char* trajectory_path
           .field("devices", p.devices)
           .field("packets", packets * p.devices)
           .field("wall_ms", p.stats.wall_ms)
+          .field("us_per_packet", us_per_packet(p.stats.wall_ms, packets * p.devices))
           .field("modeled_mbps", p.stats.modeled_mbps)
           .end_object();
     }

@@ -19,13 +19,14 @@
 // Threading contract: a Device is a single-threaded clock domain and
 // implementations need NO internal synchronization. The driver guarantees
 // that at most one thread touches a given device at any time — in the
-// Engine's worker-pool mode, each device is pinned to one worker for the
-// stepping calls of a round (`step()`, `pump_round()`, `advance_quiet()`,
-// `advance_to()`), and every pass is separated from the caller's
-// submit/control/result/forget accesses by a barrier
-// (a happens-before edge on both entry and exit). Distinct devices may be
-// driven concurrently; nothing behind this interface may share mutable
-// state across devices.
+// Engine's worker-pool mode, device i is pinned to executor i % size for
+// the stepping calls of a round (`step()`, `pump_round()`,
+// `advance_quiet()`, `advance_to()`). Executor 0 is the Engine caller's own
+// thread; the pool spawns min(num_workers, devices) - 1 more. Every pass is
+// separated from the caller's submit/control/result/forget accesses by a
+// barrier (a happens-before edge on both entry and exit). Distinct devices
+// may be driven concurrently; nothing behind this interface may share
+// mutable state across devices.
 #pragma once
 
 #include <cstdint>

@@ -10,10 +10,11 @@
 // per-channel statistics.
 //
 // Stepping is optionally multithreaded (`EngineConfig::num_workers`):
-// devices shard across a worker pool (each device remains a single-threaded
-// clock domain, pinned to one worker). Serial and threaded mode share one
-// round routine and one delivery routine; the worker pool only runs the
-// per-device part of a round. Completions are delivered on the caller's
+// devices shard across a worker pool whose executor 0 is the caller's
+// thread (each device remains a single-threaded clock domain, pinned to one
+// executor). Serial and threaded mode share one round routine and one
+// delivery routine; the worker pool only runs the per-device part of a
+// round. Completions are delivered on the caller's
 // thread, so `Completion` callbacks, `on_done` ordering guarantees and
 // per-channel stats are mode-independent: whenever the engine picks the
 // next job to deliver, it picks the complete, undelivered job with the
@@ -107,10 +108,12 @@ struct EngineConfig {
   std::vector<std::vector<reconfig::CoreImage>> slot_layouts{};
   Placement placement = Placement::kRoundRobin;
   Backend backend = Backend::kSim;
-  /// Worker threads stepping the fleet: 0 = serial (step every device on
-  /// the caller's thread, today's behavior), N >= 1 = shard devices across
-  /// min(N, num_devices) pool threads. Completions still fire on the
-  /// caller's thread, in both modes.
+  /// Executors stepping the fleet: 0 = serial (step every device on the
+  /// caller's thread), N >= 1 = shard devices across min(N, num_devices)
+  /// executors, device i on executor i % that. Executor 0 is the caller's
+  /// thread, so the pool spawns min(N, num_devices) - 1 threads and N = 1
+  /// steps inline like serial. Completions fire on the caller's thread, in
+  /// both modes.
   std::size_t num_workers = 0;
   /// Scripted device deaths (fault injection): each listed device is
   /// wrapped in a FaultyDevice at construction, and the engine keeps a
@@ -317,7 +320,8 @@ class Engine {
   std::uint64_t reconfigurations() const;
   std::uint64_t reconfig_stall_cycles() const;
   std::uint64_t reconfigurations_to(reconfig::CoreImage img) const;
-  /// Pool threads stepping the fleet (0 = serial mode).
+  /// Executors stepping the fleet, the caller's thread included (0 = serial
+  /// mode).
   std::size_t num_workers() const { return pool_ ? pool_->size() : 0; }
 
  private:
@@ -367,7 +371,8 @@ class Engine {
   void finish_job(detail::JobState& st, const JobResult& result);
   const ChannelStats* channel_stats(std::uint64_t uid) const;
   /// Run `op(slot, device)` on every live device: inline in serial mode,
-  /// on the worker pool (device i pinned to worker i % size) otherwise.
+  /// on the worker pool (device i pinned to executor i % size, executor 0
+  /// being this thread) otherwise.
   /// The only place the two modes differ.
   template <class Op>
   void for_each_device(const Op& op);

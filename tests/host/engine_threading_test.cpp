@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -38,7 +40,7 @@ TEST(WorkerPool, RoundRunsEveryTaskExactlyOnce) {
 }
 
 TEST(WorkerPool, TaskToWorkerPinningIsStable) {
-  // Task i always lands on worker i % size: a device keeps its thread
+  // Task i always lands on executor i % size: a device keeps its thread
   // across rounds (single-threaded clock domain).
   WorkerPool pool(2);
   constexpr std::size_t kTasks = 6;
@@ -47,7 +49,7 @@ TEST(WorkerPool, TaskToWorkerPinningIsStable) {
   pool.run(kTasks, [&](std::size_t i) { second[i] = std::this_thread::get_id(); });
   for (std::size_t i = 0; i < kTasks; ++i) {
     EXPECT_EQ(first[i], second[i]) << i;
-    EXPECT_EQ(first[i], first[i % 2]) << i;  // sharded by i % num_threads
+    EXPECT_EQ(first[i], first[i % 2]) << i;  // sharded by i % size()
   }
 }
 
@@ -71,6 +73,87 @@ TEST(WorkerPool, TaskExceptionRethrownOnCaller) {
   std::atomic<int> ok{0};
   pool.run(4, [&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 4);
+}
+
+TEST(WorkerPool, TaskZeroRunsOnCallerThread) {
+  // Executor 0 is the caller: its shard (tasks 0, size, 2 size, ...) runs
+  // on the thread that called run(), every round; the others stay pinned
+  // to their own spawned threads.
+  WorkerPool pool(3);
+  constexpr std::size_t kTasks = 7;
+  std::vector<std::thread::id> first(kTasks);
+  pool.run(kTasks, [&](std::size_t i) { first[i] = std::this_thread::get_id(); });
+  const std::set<std::thread::id> distinct(first.begin(), first.end());
+  EXPECT_EQ(distinct.size(), 3u);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::thread::id> ids(kTasks);
+    pool.run(kTasks, [&](std::size_t i) { ids[i] = std::this_thread::get_id(); });
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      EXPECT_EQ(ids[i], first[i % 3]) << "round " << round << " task " << i;
+      EXPECT_EQ(ids[i] == std::this_thread::get_id(), i % 3 == 0) << i;
+    }
+  }
+}
+
+TEST(WorkerPool, CallerShardExceptionWaitsForWorkers) {
+  // The caller's own shard throws at once while the worker's shard is still
+  // asleep: run() must not rethrow (and release the round state) until
+  // that worker has returned.
+  WorkerPool pool(2);
+  std::atomic<bool> worker_done{false};
+  EXPECT_THROW(pool.run(2,
+                        [&](std::size_t i) {
+                          if (i == 0) throw std::runtime_error("caller shard failed");
+                          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+                          worker_done.store(true);
+                        }),
+               std::runtime_error);
+  EXPECT_TRUE(worker_done.load());
+  std::atomic<int> ok{0};
+  pool.run(4, [&](std::size_t) { ok.fetch_add(1); });
+  EXPECT_EQ(ok.load(), 4);
+}
+
+TEST(WorkerPool, BackToBackRoundsLoseNoWakeup) {
+  // Many tiny rounds: most start while the workers still spin, and every
+  // 500th follows a sleep past the spin bound, so the workers (and the
+  // caller, waiting on a sleeping worker) park and must be woken.
+  WorkerPool pool(4);
+  constexpr std::size_t kRounds = 20000, kMaxTasks = 9;
+  std::vector<std::atomic<int>> hits(kMaxTasks);
+  std::size_t mismatches = 0;
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    const std::size_t tasks = 1 + r % kMaxTasks;
+    const bool park = r % 500 == 0;
+    if (park) std::this_thread::sleep_for(3 * WorkerPool::kSpinBound);
+    pool.run(tasks, [&](std::size_t i) {
+      if (park && i == 1) std::this_thread::sleep_for(3 * WorkerPool::kSpinBound);
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+    });
+    for (std::size_t i = 0; i < kMaxTasks; ++i)
+      if (hits[i].exchange(0, std::memory_order_relaxed) != (i < tasks ? 1 : 0)) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(WorkerPool, IdlePoolParks) {
+  // After a round the workers spin for at most the spin bound, then park:
+  // an idle pool costs (almost) no CPU.
+  WorkerPool pool(4);
+  std::atomic<int> done{0};
+  pool.run(4, [&](std::size_t) { done.fetch_add(1); });
+  ASSERT_EQ(done.load(), 4);
+  const auto cpu_ns = [] {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return std::int64_t{ts.tv_sec} * 1'000'000'000 + ts.tv_nsec;
+  };
+  const std::int64_t before = cpu_ns();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const std::int64_t used = cpu_ns() - before;
+  // Three spinning workers for one spin bound each is ~0.3 ms; a pool that
+  // never parked would burn ~300 ms.
+  EXPECT_LT(used, 25'000'000) << used << " ns of CPU over a 100 ms idle gap";
 }
 
 // ---- serial vs threaded bit-identity ----------------------------------------
