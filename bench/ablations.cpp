@@ -1,4 +1,4 @@
-// Design-choice ablations called out in DESIGN.md:
+// Design-choice ablations (listed with the other benches in README.md):
 //   1. Key Cache (paper SIV.A): reload cost vs cache hits on small packets.
 //   2. Task Scheduler software latency: how slow can the 8-bit controller's
 //      scheduling loop be before it dents 4-core throughput?

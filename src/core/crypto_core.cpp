@@ -36,17 +36,34 @@ void CryptoCore::connect_shift_in(sim::ShiftRegister128* upstream) {
   cu_.set_shift_in(upstream);
 }
 
+namespace {
+
+void refuse_during_skip(std::uint64_t skip, const std::string& name, const char* what) {
+  if (skip != 0)
+    throw std::logic_error(name + ": " + what + " during a private dormancy skip");
+}
+
+}  // namespace
+
 void CryptoCore::set_personality(cu::CuPersonality p) {
+  refuse_during_skip(skip_, name_, "reconfiguration");
   if (task_active_) throw std::logic_error(name_ + ": reconfiguration while a task is active");
   cu_.set_personality(p);
 }
 
 void CryptoCore::load_round_keys(const crypto::AesRoundKeys& keys) {
+  refuse_during_skip(skip_, name_, "round-key load");
   keys_ = keys;
   cu_.set_round_keys(&*keys_);
 }
 
+void CryptoCore::acknowledge_done() {
+  refuse_during_skip(skip_, name_, "done acknowledge");
+  done_pending_ = false;
+}
+
 void CryptoCore::start_task(const CoreTaskParams& params) {
+  refuse_during_skip(skip_, name_, "start_task");
   if (task_active_) throw std::logic_error(name_ + ": start_task while busy");
   if (params.alg != AlgId::kWhirlpoolHash && !keys_)
     throw std::logic_error(name_ + ": start_task without round keys");
@@ -56,25 +73,22 @@ void CryptoCore::start_task(const CoreTaskParams& params) {
   cpu_.wake();  // the Task Scheduler's start strobe
 }
 
-void CryptoCore::tick() {
-  // HALT semantics: during a task, the controller sleeps until the
-  // Cryptographic Unit has retired everything issued to it (the done line);
-  // when idle it sleeps until the scheduler's start strobe.
-  if (task_active_ && cpu_.halted() && !cu_.busy()) cpu_.wake();
-  cpu_.tick();
-  cu_.tick();
-  if (task_active_) ++busy_cycles_;
-}
-
 std::uint64_t CryptoCore::quiet_horizon() const {
-  // An active (or about-to-wake) controller decides cycle by cycle.
-  if (!cpu_.halted() || cpu_.wake_pending()) return 0;
+  // The rest of a private skip is quiet by construction, and exactly as
+  // long as the lockstep horizon would be: the skip ends where the unit's
+  // dormant stretch does, and a parked core is never quiet past that.
+  if (skip_ != 0) return skip_;
   // The wake line in tick() fires as soon as the unit drains: per-cycle.
-  if (task_active_ && !cu_.busy()) return 0;
+  if (must_tick()) return 0;
   return cu_.dormant_cycles(/*external_frozen=*/true);
 }
 
 void CryptoCore::advance_quiet(std::uint64_t n) {
+  if (skip_ != 0) {  // these cycles were applied by skip_dormant()
+    if (n > skip_) throw std::logic_error(name_ + ": quiet burst past a private skip");
+    skip_ -= n;
+    return;
+  }
   // The parked controller's tick() is a pure no-op (no wake pending, by the
   // horizon contract), so only the unit and the busy counter advance. A
   // dormant completion inside the span raises the done line at the exact
@@ -84,27 +98,9 @@ void CryptoCore::advance_quiet(std::uint64_t n) {
   if (task_active_) busy_cycles_ += n;
 }
 
-sim::Cycle CryptoCore::run(sim::Cycle max_cycles) {
-  if (cpu_.halted()) return 0;  // parked controllers batch via advance_quiet()
-  sim::Cycle budget = max_cycles;
-  const bool cu_busy = cu_.busy();
-  if (cu_busy) {
-    // The controller cannot touch the unit inside a burst (port accesses
-    // yield), so the unit must be provably dormant for the whole span. Its
-    // done pulse may land mid-burst; the wake it sets is sticky and takes
-    // effect at exactly the same instruction boundary as in lockstep.
-    const std::uint64_t d = cu_.dormant_cycles(/*external_frozen=*/false);
-    if (d < budget) budget = d;
-    if (budget == 0) return 0;
-  }
-  const sim::Cycle consumed = cpu_.run(budget);
-  if (consumed == 0) return 0;
-  if (cu_busy)
-    cu_.advance_dormant(consumed);
-  else
-    cu_.skip_idle(consumed);
-  if (task_active_) busy_cycles_ += consumed;
-  return consumed;
+void CryptoCore::skip_dormant(std::uint64_t h) {
+  advance_quiet(h);
+  skip_ = h - 1;
 }
 
 std::uint8_t CryptoCore::read_port(std::uint8_t port) {

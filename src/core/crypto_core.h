@@ -59,11 +59,30 @@ class CryptoCore final : public sim::Clocked, private pb::IoBus {
   /// A completed task's result stays latched until acknowledge_done().
   bool done_pending() const { return done_pending_; }
   CoreResult result() const { return result_; }
-  void acknowledge_done() { done_pending_ = false; }
+  void acknowledge_done();
   bool idle() const { return !task_active_; }
 
   // -- Clocked ----------------------------------------------------------------
-  void tick() override;
+  /// Inline: the chip ticks every core every cycle, and most of those
+  /// ticks only count down a skip or count the cycle on an idle core.
+  void tick() override {
+    if (skip_ != 0) {  // this cycle was applied by skip_dormant()
+      --skip_;
+      return;
+    }
+    // HALT semantics: during a task, the controller sleeps until the
+    // Cryptographic Unit has retired everything issued to it (the done
+    // line); when idle it sleeps until the scheduler's start strobe.
+    if (task_active_ && cpu_.halted() && !cu_.busy()) cpu_.wake();
+    // A parked controller's tick and an idle unit's tick only count the
+    // cycle; both are skipped as calls.
+    if (!cpu_.halted() || cpu_.wake_pending()) cpu_.tick();
+    if (cu_.busy())
+      cu_.tick();
+    else
+      cu_.skip_idle(1);
+    if (task_active_) ++busy_cycles_;
+  }
   std::string name() const override { return name_; }
 
   // -- batched stepping --------------------------------------------------------
@@ -72,20 +91,43 @@ class CryptoCore final : public sim::Clocked, private pb::IoBus {
   /// How many immediately upcoming tick()s this core is guaranteed to be
   /// quiet for — controller parked (no wake pending), Cryptographic Unit
   /// either idle or inside a time-gated stretch that touches no FIFO or
-  /// shift-register port. Only valid when the caller can assert the core's
-  /// surroundings are frozen for the span (idle crossbar, neighbours also
-  /// quiet). 0 means the next cycle must go through tick().
+  /// shift-register port, or the rest of a private skip. Only valid when
+  /// the caller can assert the core's surroundings are frozen for the span
+  /// (idle crossbar, neighbours also quiet). 0 means the next cycle must
+  /// go through tick().
   std::uint64_t quiet_horizon() const;
   /// Apply `n` quiet ticks in O(1); bit-identical to n tick() calls for any
   /// n <= quiet_horizon().
   void advance_quiet(std::uint64_t n);
-  /// Burst an *active* controller: retire straight-line instructions
-  /// back-to-back (cpu run loop) while the Cryptographic Unit is idle or
-  /// provably dormant, yielding at I/O-port accesses, HALT and interrupt
-  /// entry. Returns the cycles consumed (0 = the next cycle needs tick(),
-  /// e.g. an I/O execute, a parked controller, or a port-gated CU wait).
-  /// Safe whenever nothing outside the core acts during the burst.
-  sim::Cycle run(sim::Cycle max_cycles);
+  /// The next tick decides cycle by cycle: an active (or about-to-wake)
+  /// controller, or a parked one that the drained unit wakes next tick.
+  /// Implies quiet_horizon() == 0.
+  bool must_tick() const {
+    return skip_ == 0 &&
+           (!cpu_.halted() || cpu_.wake_pending() || (task_active_ && !cu_.busy()));
+  }
+
+  // -- private dormancy (the core alone, while the chip keeps ticking) --------
+  /// Upcoming ticks that are pure latency for this core whatever its
+  /// surroundings do: a task in flight, the controller parked with no wake
+  /// pending, the unit busy and dormant under dormant_cycles(false) (it
+  /// touches no FIFO or shift-register port, so crossbar traffic and
+  /// neighbours cannot matter). 0 when the next tick must run for real.
+  std::uint64_t private_dormancy() const {
+    if (skip_ != 0 || !task_active_ || !cpu_.halted() || cpu_.wake_pending() || !cu_.busy())
+      return 0;
+    // Busy, so the horizon is finite: it ends at the in-flight
+    // instruction's completion, before the wake that completion causes.
+    return cu_.dormant_cycles(/*external_frozen=*/false);
+  }
+  /// Apply the next `h` <= private_dormancy() ticks now; the following
+  /// h - 1 tick() calls then only count the skip down. A core in a skip
+  /// must not be started, acknowledged, re-keyed or reconfigured: its
+  /// state is already h - 1 cycles ahead of the chip, so each of those
+  /// throws std::logic_error.
+  void skip_dormant(std::uint64_t h);
+  /// Ticks of an outstanding skip not yet counted down (0 = in step).
+  std::uint64_t skip_remaining() const { return skip_; }
 
   // -- statistics -------------------------------------------------------------
   std::uint64_t busy_cycles() const { return busy_cycles_; }
@@ -114,6 +156,7 @@ class CryptoCore final : public sim::Clocked, private pb::IoBus {
 
   std::uint64_t busy_cycles_ = 0;
   std::uint64_t tasks_completed_ = 0;
+  std::uint64_t skip_ = 0;  // see skip_dormant()
 };
 
 }  // namespace mccp::core

@@ -38,8 +38,9 @@ struct CoreTaskParams {
   /// Authenticated-only field, in 16-byte blocks after CCM encoding / GCM
   /// zero-padding (the communication controller formats the stream).
   std::uint8_t aad_blocks = 0;
-  /// Payload field in 16-byte blocks (payloads must be block-aligned; the
-  /// hardware would use the XOR byte-mask for ragged tails, see DESIGN.md).
+  /// Payload field in 16-byte blocks (payloads must be block-aligned: the
+  /// stream layouts in core/firmware.cpp carry whole blocks; the hardware's
+  /// XOR byte mask could trim a ragged tail, which the model leaves out).
   std::uint8_t data_blocks = 0;
   /// Byte mask for the tag: bit k keeps tag byte k. 0xFFFF = full 16-byte
   /// tag, 0x00FF = 8-byte tag, ...

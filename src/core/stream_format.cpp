@@ -13,7 +13,8 @@ void require_aligned(ByteSpan payload, const char* what) {
   if (payload.size() % 16 != 0)
     throw std::invalid_argument(std::string(what) +
                                 ": payload must be a multiple of 16 bytes "
-                                "(hardware blockwise datapath; see DESIGN.md)");
+                                "(the simulated datapath streams whole 16-byte "
+                                "blocks; Backend::kFast accepts any length)");
   if (payload.size() / 16 > 255)
     throw std::invalid_argument(std::string(what) + ": payload exceeds 255 blocks");
 }

@@ -12,7 +12,8 @@
 // src/radio is the production user; core-level tests use them directly.
 //
 // Constraint inherited from the 128-bit blockwise datapath: payloads must
-// be multiples of 16 bytes (see DESIGN.md); AAD and tag lengths are free.
+// be multiples of 16 bytes (the whole-block stream layouts documented in
+// firmware.cpp); AAD and tag lengths are free.
 #pragma once
 
 #include <cstdint>

@@ -31,9 +31,16 @@ Block128 ccm_b0(const CcmParams& p, ByteSpan nonce, std::size_t aad_len, std::si
   return b0;
 }
 
+std::size_t ccm_encoded_aad_len(std::size_t aad_len) {
+  if (aad_len == 0) return 0;
+  const std::size_t prefix = aad_len < 0xFF00 ? 2 : aad_len <= 0xFFFFFFFFULL ? 6 : 10;
+  return (prefix + aad_len + 15) / 16 * 16;
+}
+
 Bytes ccm_encode_aad(ByteSpan aad) {
   Bytes out;
   const std::size_t a = aad.size();
+  out.reserve(ccm_encoded_aad_len(a));
   if (a == 0) return out;
   if (a < 0xFF00) {
     out.push_back(static_cast<std::uint8_t>(a >> 8));

@@ -28,6 +28,10 @@ Block128 ccm_b0(const CcmParams& p, ByteSpan nonce, std::size_t aad_len, std::si
 /// The a-encoding of the AAD length prepended to the AAD (SP 800-38C A.2.2).
 Bytes ccm_encode_aad(ByteSpan aad);
 
+/// ccm_encode_aad(aad).size() for an AAD of `aad_len` bytes, without
+/// building the buffer: length prefix + AAD, zero-padded to 16 bytes.
+std::size_t ccm_encoded_aad_len(std::size_t aad_len);
+
 /// Counter block Ctr_i: flags(q-1) || nonce || i.
 Block128 ccm_ctr_block(const CcmParams& p, ByteSpan nonce, std::uint64_t index);
 

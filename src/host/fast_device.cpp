@@ -355,7 +355,7 @@ void FastDevice::start_job(Job& job, const std::vector<std::size_t>& cores) {
   if (ch.mode == ChannelMode::kGcm) {
     aad_blocks = (job.spec.aad.size() + 15) / 16;
   } else if (ch.mode == ChannelMode::kCcm) {
-    aad_blocks = crypto::ccm_encode_aad(job.spec.aad).size() / 16;
+    aad_blocks = crypto::ccm_encoded_aad_len(job.spec.aad.size()) / 16;
   }
   std::size_t payload_blocks = (job.spec.payload.size() + 15) / 16;
   if (ch.mode == ChannelMode::kWhirlpool)

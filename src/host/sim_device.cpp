@@ -1,6 +1,7 @@
 #include "host/sim_device.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -17,18 +18,26 @@ SimDevice::SimDevice(const top::MccpConfig& config, std::string name)
 std::uint8_t SimDevice::run_control(std::uint32_t instruction) {
   // The four non-interruptible steps of SIII.B. The rest of the platform
   // (cores, crossbar) keeps running while the scheduler decodes, and the
-  // controller keeps draining read-granted output FIFOs.
+  // controller keeps draining read-granted output FIFOs. Mccp::run bounds
+  // each burst by the decode countdown, so the instruction still executes
+  // under a real tick; a quiet burst moves no output words, so draining
+  // between bursts sees every word the per-cycle loop would.
   mccp_.write_instruction(instruction);
   mccp_.pulse_start();
   while (!mccp_.instruction_done()) {
     drain_retrieved();
-    sim_.step();
+    sim_.skip(mccp_.run(std::numeric_limits<sim::Cycle>::max()));
   }
   last_rr_ = mccp_.return_register();
   return last_rr_;
 }
 
 bool SimDevice::drain_retrieved() {
+  // Only new output words or a freshly retrieved job can change anything:
+  // every retrieved job that was already complete got marked on the scan
+  // that collected its last word.
+  if (mccp_.crossbar().output_words() == 0 && !retrieved_unscanned_) return false;
+  retrieved_unscanned_ = false;
   bool drained = false;
   for (Job* job : active_) {
     if (job->state == Job::State::kRetrieved) {
@@ -71,11 +80,9 @@ std::pair<std::uint8_t, std::uint8_t> block_fields(const ChannelInfo& ch, std::s
     case ChannelMode::kGcm:
       return {static_cast<std::uint8_t>(core::blocks_of(aad_len)),
               static_cast<std::uint8_t>(payload_len / 16)};
-    case ChannelMode::kCcm: {
-      Bytes enc = crypto::ccm_encode_aad(Bytes(aad_len, 0));
-      return {static_cast<std::uint8_t>(enc.size() / 16),
+    case ChannelMode::kCcm:
+      return {static_cast<std::uint8_t>(crypto::ccm_encoded_aad_len(aad_len) / 16),
               static_cast<std::uint8_t>(payload_len / 16)};
-    }
     case ChannelMode::kCtr:
       return {0, static_cast<std::uint8_t>(payload_len / 16)};
     case ChannelMode::kCbcMac:
@@ -229,6 +236,7 @@ bool SimDevice::pump() {
         if (job->state == Job::State::kAccepted && job->request_id == req) {
           job->auth_ok = !top::is_auth_fail(rr);
           job->state = job->auth_ok ? Job::State::kRetrieved : Job::State::kDrained;
+          retrieved_unscanned_ |= job->auth_ok;
           break;
         }
       }
@@ -304,11 +312,12 @@ bool SimDevice::pump() {
 }
 
 void SimDevice::step() {
-  // One scheduling round = exactly one cycle, always. An uncapped quiet
-  // burst here is tempting but wrong at the fleet level: step() has no
-  // horizon to cap against, so an idle device would race its clock
-  // arbitrarily far ahead of busy siblings, blowing wait budgets (which
-  // are denominated in max-over-devices cycles) and shifting the
+  // One scheduling round, then exactly one chip cycle. (A round that runs
+  // a control instruction has already spent that instruction's cycles.)
+  // An uncapped quiet burst here is tempting but wrong at the fleet level:
+  // step() has no horizon to cap against, so an idle device would race its
+  // clock arbitrarily far ahead of busy siblings, blowing wait budgets
+  // (which are denominated in max-over-devices cycles) and shifting the
   // submit-cycle stamps of every later placement. Quiet fast-forwarding
   // lives in advance_to(), whose target provides the cap.
   pump();

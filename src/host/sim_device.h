@@ -124,9 +124,8 @@ class SimDevice final : public Device {
   /// Jobs accepted by the device and not yet finalized: the only ones the
   /// interrupt/drain/transfer-done scans need to touch (bounded by the
   /// core count, never by the backlog depth). Held as pointers into
-  /// `jobs_` (node-stable) because the drain scan runs every single cycle
-  /// of every control-instruction wait — a map lookup per job per cycle
-  /// was a measurable slice of simulated wall-clock.
+  /// `jobs_` (node-stable) so the drain scan, which runs whenever output
+  /// words move, does no map lookups.
   std::vector<Job*> active_;
   std::map<DeviceJobId, Job> jobs_;           // pending + accepted
   std::map<DeviceJobId, JobResult> results_;  // completed + in-flight partials
@@ -134,6 +133,8 @@ class SimDevice final : public Device {
   std::uint8_t last_rr_ = 0;
   std::size_t open_channels_ = 0;
   std::uint64_t completions_ = 0;  // jobs whose result() turned complete
+  /// A job entered kRetrieved and no drain scan has looked at it yet.
+  bool retrieved_unscanned_ = false;
 };
 
 }  // namespace mccp::host

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -20,23 +19,24 @@
 
 namespace mccp::top {
 
+/// Event-driven bookkeeping: two lane bitmasks (write-granted lanes that
+/// hold words, read-granted lanes) and a running outbox word count, so a
+/// tick() or quiet() touches only the lanes that can move. At most 64
+/// lanes; the round-robin order is the plain index scan's.
 class CrossBar final : public sim::Clocked {
  public:
-  explicit CrossBar(std::vector<core::CryptoCore*> cores) : cores_(std::move(cores)) {
-    lanes_.resize(cores_.size());
-  }
+  explicit CrossBar(std::vector<core::CryptoCore*> cores);
 
   // -- grant control (Task Scheduler only) -----------------------------------
-  void open_write(std::size_t core_idx) { lanes_.at(core_idx).write_granted = true; }
-  void open_read(std::size_t core_idx) { lanes_.at(core_idx).read_granted = true; }
-  void close(std::size_t core_idx) {
-    auto& l = lanes_.at(core_idx);
-    l.write_granted = l.read_granted = false;
-    l.inbox.clear();
-    l.outbox.clear();
+  void open_write(std::size_t core_idx) { write_granted_ |= bit(checked(core_idx)); }
+  void open_read(std::size_t core_idx) { read_granted_ |= bit(checked(core_idx)); }
+  void close(std::size_t core_idx);
+  bool write_granted(std::size_t core_idx) const {
+    return (write_granted_ & bit(checked(core_idx))) != 0;
   }
-  bool write_granted(std::size_t core_idx) const { return lanes_.at(core_idx).write_granted; }
-  bool read_granted(std::size_t core_idx) const { return lanes_.at(core_idx).read_granted; }
+  bool read_granted(std::size_t core_idx) const {
+    return (read_granted_ & bit(checked(core_idx))) != 0;
+  }
 
   // -- communication-controller side ------------------------------------------
   /// Queue words for delivery into a write-granted core FIFO. Throws if the
@@ -45,14 +45,15 @@ class CrossBar final : public sim::Clocked {
   void push_words(std::size_t core_idx, const std::vector<std::uint32_t>& words);
   /// Collect words the crossbar has drained from a read-granted core FIFO.
   std::vector<std::uint32_t> take_output(std::size_t core_idx);
-  /// Allocation-free variant for per-cycle polling: append the drained
-  /// words to `out` and return whether any moved. The empty case — the
-  /// overwhelming majority when the controller polls every cycle — is a
-  /// single branch.
+  /// Allocation-free variant for polling: append the drained words to
+  /// `out` and return whether any moved.
   bool take_output_into(std::size_t core_idx, std::vector<std::uint32_t>& out);
   std::size_t pending_input(std::size_t core_idx) const {
-    return lanes_.at(core_idx).inbox.size();
+    const Lane& l = lanes_.at(core_idx);
+    return l.inbox.size() - l.inbox_head;
   }
+  /// Words drained from core FIFOs and not yet collected, over all lanes.
+  std::size_t output_words() const { return outbox_words_; }
 
   void tick() override;
   std::string name() const override { return "crossbar"; }
@@ -69,14 +70,20 @@ class CrossBar final : public sim::Clocked {
 
  private:
   struct Lane {
-    bool write_granted = false;
-    bool read_granted = false;
-    std::deque<std::uint32_t> inbox;   // waiting to enter the core's in-FIFO
-    std::deque<std::uint32_t> outbox;  // drained from the core's out-FIFO
+    std::vector<std::uint32_t> inbox;  // inbox[inbox_head..] wait for the core's in-FIFO
+    std::size_t inbox_head = 0;
+    std::vector<std::uint32_t> outbox;  // drained from the core's out-FIFO
   };
+
+  static std::uint64_t bit(std::size_t i) { return std::uint64_t{1} << i; }
+  std::size_t checked(std::size_t core_idx) const;
 
   std::vector<core::CryptoCore*> cores_;
   std::vector<Lane> lanes_;
+  std::uint64_t write_granted_ = 0;
+  std::uint64_t write_ready_ = 0;  // write-granted lanes whose inbox holds words
+  std::uint64_t read_granted_ = 0;
+  std::size_t outbox_words_ = 0;
   std::size_t write_rr_ = 0;
   std::size_t read_rr_ = 0;
   std::uint64_t words_in_ = 0;

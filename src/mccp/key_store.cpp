@@ -41,9 +41,8 @@ bool KeyScheduler::core_has_key(const core::CryptoCore* core, KeyId id) const {
          it->second.second == memory_->generation(id) && core->has_keys();
 }
 
-void KeyScheduler::tick() {
+void KeyScheduler::tick_load() {
   if (!current_) {
-    if (queue_.empty()) return;
     current_ = queue_.front();
     queue_.pop_front();
   }

@@ -1,6 +1,7 @@
 #include "mccp/mccp.h"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "crypto/ccm.h"
@@ -36,6 +37,7 @@ Mccp::Mccp(const MccpConfig& config, const KeyMemory& keys)
   for (std::size_t i = 0; i < config.num_cores; ++i)
     cores_[(i + 1) % config.num_cores]->connect_shift_in(&cores_[i]->shift_out());
   core_allocated_.assign(config.num_cores, false);
+  core_request_.assign(config.num_cores, 0);
   reconfig_.resize(config.num_cores);
   // Boot-time slot layout: the static bitstream already carries these
   // personalities, so no transfer time is charged.
@@ -65,8 +67,7 @@ std::size_t Mccp::idle_core_count() const {
 }
 
 const Mccp::RequestInfo* Mccp::request_info(std::uint8_t id) const {
-  auto it = requests_.find(id);
-  return it == requests_.end() ? nullptr : &it->second.info;
+  return id < kMaxRequests && requests_[id] ? &requests_[id]->info : nullptr;
 }
 
 std::optional<std::size_t> Mccp::find_idle_core(cu::CuPersonality need) const {
@@ -109,6 +110,7 @@ std::optional<std::uint64_t> Mccp::begin_core_reconfiguration(std::size_t core_i
   reconfig_[core_idx].target = image;
   reconfig_[core_idx].remaining =
       reconfig::scaled_reconfiguration_cycles(image, store, reconfig_time_divisor_);
+  if (reconfig_[core_idx].remaining > 0) ++swaps_in_flight_;
   ++reconfigurations_done_;
   reconfig_stall_cycles_ += reconfig_[core_idx].remaining;
   ++reconfig_to_[static_cast<std::size_t>(image)];
@@ -116,6 +118,7 @@ std::optional<std::uint64_t> Mccp::begin_core_reconfiguration(std::size_t core_i
 }
 
 void Mccp::tick_reconfiguration() {
+  if (swaps_in_flight_ == 0) return;
   for (std::size_t i = 0; i < reconfig_.size(); ++i) {
     auto& r = reconfig_[i];
     if (r.remaining == 0) continue;
@@ -123,6 +126,7 @@ void Mccp::tick_reconfiguration() {
       r.image = r.target;
       cores_[i]->set_personality(personality_for(r.image));
       core_allocated_[i] = false;
+      --swaps_in_flight_;
     }
   }
 }
@@ -182,8 +186,8 @@ void Mccp::exec_crypt(bool decrypt, std::uint8_t chan, std::uint8_t header_block
 
   // Allocate a request id.
   std::optional<std::uint8_t> rid;
-  for (std::uint8_t id = 0; id < 64; ++id)
-    if (!requests_.count(id)) {
+  for (std::uint8_t id = 0; id < kMaxRequests; ++id)
+    if (!requests_[id]) {
       rid = id;
       break;
     }
@@ -260,18 +264,21 @@ void Mccp::exec_crypt(bool decrypt, std::uint8_t chan, std::uint8_t header_block
 }
 
 void Mccp::try_finish_wait_keys() {
-  Request& req = requests_.at(*starting_request_);
+  Request& req = *requests_[*starting_request_];
   const Channel& ch = channels_.at(req.info.channel);
   if (ch.mode != ChannelMode::kWhirlpool)
     for (std::size_t lane : req.info.lanes)
       if (!key_scheduler_.core_has_key(cores_[lane].get(), ch.key_id)) return;
   // Keys are cached: program the mailboxes, strobe start, open write lanes.
+  const std::uint8_t id = req.info.id;
   for (std::size_t i = 0; i < req.info.lanes.size(); ++i) {
     cores_[req.info.lanes[i]]->start_task(req.core_params[i]);
     crossbar_->open_write(req.info.lanes[i]);
+    core_request_[req.info.lanes[i]] = id;
   }
   req.state = ReqState::kProcessing;
-  std::uint8_t id = req.info.id;
+  processing_ |= bit(id);
+  if (!req.info.decrypt) unannounced_ |= bit(id);
   finish(make_ok(id));
 }
 
@@ -282,8 +289,7 @@ void Mccp::exec_retrieve() {
   if (ok) {
     // "this instruction configures the Cross Bar to enable I/O access when
     // an OK flag has been returned" (SIII.B).
-    const Request& req = requests_.at(id);
-    for (std::size_t lane : req.info.lanes) crossbar_->open_read(lane);
+    for (std::size_t lane : requests_[id]->info.lanes) crossbar_->open_read(lane);
     finish(make_ok(id));
   } else {
     finish(make_auth_fail(id));
@@ -291,40 +297,57 @@ void Mccp::exec_retrieve() {
 }
 
 void Mccp::exec_transfer_done(std::uint8_t id) {
-  auto it = requests_.find(id);
-  if (it == requests_.end()) return finish(make_error(ControlError::kNoSuchRequest));
-  if (it->second.state != ReqState::kCompleted)
+  if (id >= kMaxRequests || !requests_[id])
+    return finish(make_error(ControlError::kNoSuchRequest));
+  if (requests_[id]->state != ReqState::kCompleted)
     return finish(make_error(ControlError::kBadParameters));
-  for (std::size_t lane : it->second.info.lanes) {
+  for (std::size_t lane : requests_[id]->info.lanes) {
     crossbar_->close(lane);
     core_allocated_[lane] = false;
   }
-  requests_.erase(it);
+  requests_[id].reset();
   finish(make_ok(id));
 }
 
+bool Mccp::output_appeared(const Request& req) const {
+  for (std::size_t lane : req.info.lanes)
+    if (!cores_[lane]->out_fifo().empty()) return true;
+  return false;
+}
+
+bool Mccp::all_lanes_done(const Request& req) const {
+  for (std::size_t lane : req.info.lanes)
+    if (!cores_[lane]->done_pending()) return false;
+  return true;
+}
+
+std::uint64_t Mccp::scan_candidates() const {
+  std::uint64_t todo = counting_ | unannounced_;
+  for (std::uint64_t m = done_cores_; m != 0; m &= m - 1)
+    todo |= bit(core_request_[std::countr_zero(m)]);
+  return todo & processing_;
+}
+
 void Mccp::scan_requests() {
-  for (auto& [id, req] : requests_) {
-    if (req.state != ReqState::kProcessing) continue;
+  for (std::uint64_t m = scan_candidates(); m != 0; m &= m - 1) {
+    const auto id = static_cast<std::uint8_t>(std::countr_zero(m));
+    Request& req = *requests_[id];
 
     // Encryption output may stream out as soon as it appears (ciphertext is
     // public); Data Available fires on the first output words.
-    if (!req.info.decrypt && !req.announced) {
-      for (std::size_t lane : req.info.lanes) {
-        if (!cores_[lane]->out_fifo().empty()) {
-          req.announced = true;
-          available_.push_back({id, true});
-          break;
-        }
-      }
+    if ((unannounced_ & bit(id)) != 0 && output_appeared(req)) {
+      req.announced = true;
+      unannounced_ &= ~bit(id);
+      available_.push_back({id, true});
     }
 
-    bool all_done = true;
-    for (std::size_t lane : req.info.lanes)
-      if (!cores_[lane]->done_pending()) all_done = false;
-    if (!all_done) continue;
-
-    if (req.done_scan_countdown < 0) req.done_scan_countdown = kDoneScanCycles;
+    // Once every lane is done it stays done until acknowledged below, so
+    // a running countdown needs no re-check.
+    if (req.done_scan_countdown < 0) {
+      if (!all_lanes_done(req)) continue;
+      req.done_scan_countdown = kDoneScanCycles;
+      counting_ |= bit(id);
+    }
     if (--req.done_scan_countdown > 0) continue;
 
     // All cores reported: collect results.
@@ -348,6 +371,9 @@ void Mccp::scan_requests() {
       }
     }
     req.state = ReqState::kCompleted;
+    processing_ &= ~bit(id);
+    counting_ &= ~bit(id);
+    unannounced_ &= ~bit(id);
     ++requests_completed_;
     if (!req.announced) {
       req.announced = true;
@@ -357,28 +383,33 @@ void Mccp::scan_requests() {
 }
 
 std::uint64_t Mccp::quiet_horizon(std::uint64_t budget) const {
-  // Control-plane machinery mid-transaction decides cycle by cycle.
-  if (ctrl_state_ != CtrlState::kIdle || !key_scheduler_.idle()) return 0;
-  if (!crossbar_->quiet()) return 0;
+  // An awake controller, the key loader and a scheduler waiting on it
+  // decide cycle by cycle.
+  if (awake_cores_ != 0 || !key_scheduler_.idle()) return 0;
   std::uint64_t h = budget;
-  for (const CoreReconfigState& r : reconfig_) {
-    if (r.remaining == 0) continue;
-    if (r.remaining == 1) return 0;  // the swap lands next tick
-    h = std::min(h, r.remaining - 1);
+  if (ctrl_state_ == CtrlState::kDecoding) {
+    // Decode latency is a pure countdown; the tick that executes the
+    // instruction always runs for real.
+    if (ctrl_latency_ <= 1) return 0;
+    h = std::min<std::uint64_t>(h, static_cast<std::uint64_t>(ctrl_latency_ - 1));
+  } else if (ctrl_state_ != CtrlState::kIdle) {
+    return 0;
   }
-  for (const auto& [id, req] : requests_) {
-    if (req.state != ReqState::kProcessing) continue;
-    // The next scan would act: a running done-scan countdown, a Data
-    // Available announce for freshly appeared ciphertext, or the first
-    // observation of an all-lanes-done request.
-    if (req.done_scan_countdown >= 0) return 0;
-    if (!req.info.decrypt && !req.announced)
-      for (std::size_t lane : req.info.lanes)
-        if (!cores_[lane]->out_fifo().empty()) return 0;
-    bool all_done = true;
-    for (std::size_t lane : req.info.lanes)
-      if (!cores_[lane]->done_pending()) all_done = false;
-    if (all_done) return 0;
+  if (!crossbar_->quiet()) return 0;
+  if (swaps_in_flight_ != 0)
+    for (const CoreReconfigState& r : reconfig_) {
+      if (r.remaining == 0) continue;
+      if (r.remaining == 1) return 0;  // the swap lands next tick
+      h = std::min(h, r.remaining - 1);
+    }
+  // The next scan would act: a running done-scan countdown, a Data
+  // Available announce for freshly appeared ciphertext, or the first
+  // observation of an all-lanes-done request.
+  if (counting_ != 0) return 0;
+  for (std::uint64_t m = scan_candidates(); m != 0; m &= m - 1) {
+    const Request& req = *requests_[std::countr_zero(m)];
+    if ((unannounced_ & bit(req.info.id)) != 0 && output_appeared(req)) return 0;
+    if (all_lanes_done(req)) return 0;
   }
   for (const auto& c : cores_) {
     const std::uint64_t ch = c->quiet_horizon();
@@ -389,12 +420,15 @@ std::uint64_t Mccp::quiet_horizon(std::uint64_t budget) const {
 }
 
 void Mccp::advance_quiet(std::uint64_t n) {
-  // Scheduler, key loader, crossbar and request scans are all no-ops for
-  // the span (quiet_horizon's contract): only the swap countdowns, the
-  // cores and the clock move. Countdowns stay >= 1 because the horizon is
-  // capped at remaining - 1, so no swap can land inside the span.
-  for (CoreReconfigState& r : reconfig_)
-    if (r.remaining > 0) r.remaining -= n;
+  // Key loader, crossbar and request scans are all no-ops for the span
+  // (quiet_horizon's contract): only the decode countdown, the swap
+  // countdowns, the cores and the clock move. Countdowns stay >= 1 because
+  // the horizon is capped one short of each, so nothing lands inside the
+  // span.
+  if (ctrl_state_ == CtrlState::kDecoding) ctrl_latency_ -= static_cast<int>(n);
+  if (swaps_in_flight_ != 0)
+    for (CoreReconfigState& r : reconfig_)
+      if (r.remaining > 0) r.remaining -= n;
   for (auto& c : cores_) c->advance_quiet(n);
   cycle_ += n;
 }
@@ -416,11 +450,29 @@ void Mccp::tick() {
   } else if (ctrl_state_ == CtrlState::kWaitKeys) {
     try_finish_wait_keys();
   }
-  scan_requests();
+  if (processing_ != 0) scan_requests();
   tick_reconfiguration();
   key_scheduler_.tick();
   crossbar_->tick();
-  for (auto& c : cores_) c->tick();
+  // Private per-core dormancy: a core whose controller is parked on a unit
+  // that is provably dormant whatever its surroundings do applies that
+  // whole stretch now and sits out the rest of it, while the chip ticks on.
+  // Only a core's own tick raises its done line or wakes and parks its
+  // controller (start strobes land above, before this loop), so the next
+  // scan's and the next quiet horizon's view of every core is taken here.
+  std::uint64_t done = 0, awake = 0;
+  for (std::size_t i = 0; i < cores_.size(); ++i) {
+    core::CryptoCore& c = *cores_[i];
+    const std::uint64_t h = c.private_dormancy();
+    if (h >= 2)
+      c.skip_dormant(h);
+    else
+      c.tick();
+    if (c.done_pending()) done |= bit(i);
+    if (c.must_tick()) awake |= bit(i);
+  }
+  done_cores_ = done;
+  awake_cores_ = awake;
   ++cycle_;
 }
 

@@ -14,6 +14,7 @@
 // configured policy; SVII.A's Table II quantifies the trade-off.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -140,13 +141,14 @@ class Mccp final : public sim::Clocked {
   void tick() override;
   std::string name() const override { return "mccp"; }
 
-  /// Batched stepping: when the whole chip is provably quiet — scheduler
-  /// and key loader idle, crossbar with nothing to move, request scans
-  /// inert, every controller parked inside a time-gated Cryptographic Unit
-  /// stretch — fast-forward up to `max_cycles` at once; otherwise tick()
-  /// once. The resulting state (all counters, horizons, cycle stamps) is
-  /// bit-identical to ticking cycle by cycle. Returns the cycles consumed
-  /// (>= 1 whenever max_cycles >= 1).
+  /// Batched stepping: when the whole chip is provably quiet — Task
+  /// Scheduler idle or counting down its decode latency, key loader idle,
+  /// crossbar with nothing to move, request scans inert, every controller
+  /// parked inside a time-gated Cryptographic Unit stretch (or mid-way
+  /// through a private skip) — fast-forward up to `max_cycles` at once;
+  /// otherwise tick() once. The resulting state (all counters, horizons,
+  /// cycle stamps) is bit-identical to ticking cycle by cycle. Returns the
+  /// cycles consumed (>= 1 whenever max_cycles >= 1).
   sim::Cycle run(sim::Cycle max_cycles);
 
   /// Upcoming ticks (possibly 0) guaranteed to be pure latency chip-wide;
@@ -187,6 +189,13 @@ class Mccp final : public sim::Clocked {
   void finish(std::uint8_t rr);
   void try_finish_wait_keys();
   void scan_requests();
+  static std::uint64_t bit(std::size_t i) { return std::uint64_t{1} << i; }
+  /// Processing requests the next scan must look at; every other one is
+  /// provably inert (no countdown, not awaiting its first output, no lane
+  /// done).
+  std::uint64_t scan_candidates() const;
+  bool output_appeared(const Request& req) const;
+  bool all_lanes_done(const Request& req) const;
   std::optional<std::size_t> find_idle_core(cu::CuPersonality need) const;
   std::optional<std::pair<std::size_t, std::size_t>> find_idle_pair() const;
   void tick_reconfiguration();
@@ -207,7 +216,22 @@ class Mccp final : public sim::Clocked {
   std::optional<std::uint8_t> starting_request_;  // id being set up in kWaitKeys
 
   std::map<std::uint8_t, Channel> channels_;
-  std::map<std::uint8_t, Request> requests_;
+  /// Request slots by id (ids are < 64) and bitmasks over those ids: the
+  /// per-cycle scan visits only the processing requests that can act, in
+  /// id order, which is the order that decides available_.
+  static constexpr std::size_t kMaxRequests = 64;
+  std::array<std::optional<Request>, kMaxRequests> requests_;
+  std::uint64_t processing_ = 0;
+  std::uint64_t unannounced_ = 0;  // processing encrypts with no output seen yet
+  std::uint64_t counting_ = 0;     // processing requests with a done-scan countdown
+  /// Cores whose done line was up after the last tick (done_pending()), and
+  /// the request each core lane serves.
+  std::uint64_t done_cores_ = 0;
+  std::vector<std::uint8_t> core_request_;
+  /// Cores whose must_tick() held after the last tick: a set bit proves
+  /// the chip's quiet horizon is 0 (a clear one proves nothing; the
+  /// per-core check decides).
+  std::uint64_t awake_cores_ = 0;
   std::deque<std::pair<std::uint8_t, bool>> available_;  // (request id, auth ok)
 
   struct CoreReconfigState {
@@ -216,6 +240,7 @@ class Mccp final : public sim::Clocked {
     std::uint64_t remaining = 0;
   };
   std::vector<CoreReconfigState> reconfig_;
+  std::size_t swaps_in_flight_ = 0;  // slots with remaining > 0
   reconfig::BitstreamStore bitstream_store_;
   bool auto_reconfig_;
   std::uint32_t reconfig_time_divisor_;

@@ -9,7 +9,7 @@ void Cpu::load_program(std::span<const Word> image) {
     throw std::length_error("Cpu::load_program: image exceeds 1024 words");
   imem_.fill(encode(Opcode::kNop, 0, 0));
   for (std::size_t i = 0; i < image.size(); ++i) imem_[i] = image[i];
-  // Predecode the whole store once; tick()/run() never extract fields again.
+  // Predecode the whole store once; tick() never extracts fields again.
   for (std::size_t i = 0; i < kImemWords; ++i) dops_[i] = decode_word(imem_[i]);
   reset();
 }
@@ -111,9 +111,8 @@ Cpu::DecodedOp Cpu::decode_word(Word w) {
   return d;
 }
 
-bool Cpu::fetch_cycle() {
+void Cpu::fetch_cycle() {
   // Interrupts are recognised at instruction boundaries, like KCPSM3.
-  bool vectored = false;
   if (irq_pending_ && int_enable_) {
     irq_pending_ = false;
     int_enable_ = false;
@@ -122,14 +121,12 @@ bool Cpu::fetch_cycle() {
     if (stack_.size() >= kStackDepth) throw std::runtime_error("PicoBlaze stack overflow");
     stack_.push_back(pc_);
     pc_ = kInterruptVector;
-    vectored = true;
   }
   const std::uint16_t idx = pc_ & (kImemWords - 1);
   current_ = imem_[idx];
   dcur_ = &dops_[idx];
   pc_ = static_cast<std::uint16_t>((pc_ + 1) & (kImemWords - 1));
   fetch_phase_ = false;
-  return vectored;
 }
 
 void Cpu::tick() {
@@ -149,52 +146,10 @@ void Cpu::tick() {
   if (fetch_phase_) {
     fetch_cycle();
   } else {
-    exec_decoded(*dcur_, zero_, carry_);
+    exec_decoded(*dcur_);
     ++retired_;
     fetch_phase_ = true;
   }
-}
-
-sim::Cycle Cpu::run(sim::Cycle max_cycles) {
-  sim::Cycle used = 0;
-  if (halted_) {
-    if (!wake_pending_ || max_cycles == 0) return 0;  // parked
-    halted_ = false;
-    wake_pending_ = false;
-    fetch_phase_ = true;
-    ++used;  // the cycle the wake pulse is sampled
-  }
-  // Hoist the hot flags into locals for the straight-line stretch; they are
-  // written back on every exit path (including exceptions).
-  bool zf = zero_;
-  bool cf = carry_;
-  try {
-    while (used < max_cycles) {
-      if (fetch_phase_) {
-        // IRQ vectoring saves the *architectural* flags.
-        zero_ = zf;
-        carry_ = cf;
-        const bool vectored = fetch_cycle();
-        ++used;
-        if (vectored) break;  // yield: interrupt boundary
-      } else {
-        const DecodedOp& d = *dcur_;
-        if (is_io(d.kind)) break;  // yield BEFORE touching the bus
-        exec_decoded(d, zf, cf);
-        ++retired_;
-        fetch_phase_ = true;
-        ++used;
-        if (halted_) break;  // yield: HALT executed
-      }
-    }
-  } catch (...) {
-    zero_ = zf;
-    carry_ = cf;
-    throw;
-  }
-  zero_ = zf;
-  carry_ = cf;
-  return used;
 }
 
 void Cpu::alu_writeback(unsigned sx, std::uint16_t wide, bool update_carry) {
@@ -204,7 +159,9 @@ void Cpu::alu_writeback(unsigned sx, std::uint16_t wide, bool update_carry) {
   if (update_carry) carry_ = (wide & 0x100) != 0;
 }
 
-void Cpu::exec_decoded(const DecodedOp& d, bool& zf, bool& cf) {
+void Cpu::exec_decoded(const DecodedOp& d) {
+  bool& zf = zero_;
+  bool& cf = carry_;
   const unsigned sx = d.sx;
   const std::uint8_t imm = d.imm;
 

@@ -18,11 +18,9 @@
 //
 // Execution paths: `load_program` predecodes all 1024 instruction words
 // into a dense DecodedOp table, so the per-cycle `tick()` dispatches on a
-// flat enum with no field extraction, and `run(max_cycles)` retires
-// straight-line instructions back-to-back between I/O boundaries. The
-// original decode-per-execute path is retained as `tick_reference()` — a
-// differential oracle the fuzz suite steps in lockstep against the cached
-// paths.
+// flat enum with no field extraction. The original decode-per-execute path
+// is retained as `tick_reference()` — a differential oracle the fuzz suite
+// steps in lockstep against the cached path.
 #pragma once
 
 #include <array>
@@ -74,23 +72,9 @@ class Cpu final : public sim::Clocked {
   void tick() override;
   std::string name() const override { return name_; }
 
-  /// Batched execution: advance up to `max_cycles` cycles on the cached
-  /// decode path, retiring straight-line instructions back-to-back with the
-  /// flags hoisted into locals. Returns the cycles actually consumed; the
-  /// accounting is bit-identical to calling tick() that many times. The
-  /// loop yields early — so the embedder can synchronize bus-side state —
-  ///   - BEFORE the execute cycle of an INPUT/OUTPUT instruction (run()
-  ///     itself never touches the IoBus; step the access with tick()),
-  ///   - after the fetch cycle that vectors into the interrupt handler,
-  ///   - after HALT executes, and
-  ///   - immediately (returning 0) while parked: a halted CPU burns no
-  ///     internal state, so the caller accounts idle time itself.
-  /// A return of 0 with `!halted()` means the next cycle is an I/O execute.
-  sim::Cycle run(sim::Cycle max_cycles);
-
   /// The pre-decode-cache execution path (decode every field on every
   /// execute), kept bit-for-bit as the differential oracle for the cached
-  /// tick()/run() paths. Interchangeable with tick() at cycle granularity.
+  /// tick() path. Interchangeable with tick() at cycle granularity.
   void tick_reference();
 
   // -- introspection for tests ----------------------------------------------
@@ -111,7 +95,7 @@ class Cpu final : public sim::Clocked {
     kLoadK, kLoadR, kAndK, kAndR, kOrK, kOrR, kXorK, kXorR,
     kAddK, kAddR, kAddcyK, kAddcyR, kSubK, kSubR, kSubcyK, kSubcyR,
     kCompareK, kCompareR,
-    kInputP, kInputR, kOutputP, kOutputR,  // contiguous: the I/O yield range
+    kInputP, kInputR, kOutputP, kOutputR,
     kStoreS, kStoreR, kFetchS, kFetchR,
     kSl0, kSl1, kSlx, kSla, kRl, kSr0, kSr1, kSrx, kSra, kRr, kBadShift,
     kJump, kJumpZ, kJumpNz, kJumpC, kJumpNc,
@@ -132,14 +116,11 @@ class Cpu final : public sim::Clocked {
   };
 
   static DecodedOp decode_word(Word w);
-  static bool is_io(Exec k) { return k >= Exec::kInputP && k <= Exec::kOutputR; }
 
-  /// One fetch cycle on the cached path (including IRQ vectoring). Returns
-  /// true when the fetch vectored into the interrupt handler.
-  bool fetch_cycle();
-  /// Execute the current decoded op with the flags passed by reference
-  /// (members for tick(), hoisted locals for run()).
-  void exec_decoded(const DecodedOp& d, bool& zf, bool& cf);
+  /// One fetch cycle on the cached path (including IRQ vectoring).
+  void fetch_cycle();
+  /// Execute one decoded op.
+  void exec_decoded(const DecodedOp& d);
 
   void execute(Word w);  // reference path (decode per execute)
   void alu_writeback(unsigned sx, std::uint16_t wide, bool update_carry);

@@ -8,26 +8,30 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <stdexcept>
+#include <vector>
 
 namespace mccp::sim {
 
+/// A fixed-capacity ring buffer: the storage is allocated once, and push
+/// and pop only move an index, as the hardware's read/write pointers do.
 template <typename T>
 class Fifo {
  public:
-  explicit Fifo(std::size_t capacity) : capacity_(capacity) {}
+  explicit Fifo(std::size_t capacity) : buf_(capacity), capacity_(capacity) {}
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return q_.size(); }
-  bool empty() const { return q_.empty(); }
-  bool full() const { return q_.size() >= capacity_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  bool full() const { return size_ >= capacity_; }
 
   /// True if the value was accepted (hardware write strobe honoured).
   bool try_push(const T& v) {
     if (full()) return false;
-    q_.push_back(v);
-    if (q_.size() > high_watermark_) high_watermark_ = q_.size();
+    std::size_t tail = head_ + size_;
+    if (tail >= capacity_) tail -= capacity_;
+    buf_[tail] = v;
+    if (++size_ > high_watermark_) high_watermark_ = size_;
     ++total_pushed_;
     return true;
   }
@@ -38,9 +42,10 @@ class Fifo {
   }
 
   bool try_pop(T& out) {
-    if (q_.empty()) return false;
-    out = q_.front();
-    q_.pop_front();
+    if (empty()) return false;
+    out = buf_[head_];
+    if (++head_ == capacity_) head_ = 0;
+    --size_;
     return true;
   }
 
@@ -50,18 +55,20 @@ class Fifo {
     return v;
   }
 
-  const T& front() const { return q_.front(); }
+  const T& front() const { return buf_[head_]; }
 
   /// Secure re-initialisation: drop all content (used on authentication
   /// failure so unauthenticated plaintext can never be read out).
-  void clear() { q_.clear(); }
+  void clear() { head_ = size_ = 0; }
 
   std::size_t high_watermark() const { return high_watermark_; }
   std::size_t total_pushed() const { return total_pushed_; }
 
  private:
+  std::vector<T> buf_;
   std::size_t capacity_;
-  std::deque<T> q_;
+  std::size_t head_ = 0;  // index of the oldest entry
+  std::size_t size_ = 0;
   std::size_t high_watermark_ = 0;
   std::size_t total_pushed_ = 0;
 };

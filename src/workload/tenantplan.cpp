@@ -24,7 +24,7 @@ sim::Cycle modeled_service_cycles(const ChannelClass& prof, const host::JobSpec&
   if (prof.mode == ChannelMode::kGcm) {
     aad_blocks = (job.aad.size() + 15) / 16;
   } else if (prof.mode == ChannelMode::kCcm) {
-    aad_blocks = crypto::ccm_encode_aad(job.aad).size() / 16;
+    aad_blocks = crypto::ccm_encoded_aad_len(job.aad.size()) / 16;
   }
   std::size_t payload_blocks = (job.payload.size() + 15) / 16;
   if (prof.mode == ChannelMode::kWhirlpool)

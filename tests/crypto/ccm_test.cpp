@@ -79,6 +79,15 @@ TEST(Ccm, AadEncodingShortForm) {
   EXPECT_EQ(enc[15], 0x00);
 }
 
+TEST(Ccm, EncodedAadLenMatchesEncodingSize) {
+  // Every length through the 0xFF00 switch to the 6-byte prefix and past
+  // the next block boundaries; one buffer, viewed at every length.
+  const Bytes aad(0x10100, 0x5A);
+  for (std::size_t len = 0; len <= aad.size(); ++len)
+    ASSERT_EQ(ccm_encoded_aad_len(len), ccm_encode_aad(ByteSpan(aad.data(), len)).size())
+        << "aad_len=" << len;
+}
+
 TEST(Ccm, AadEncodingLongForm) {
   Bytes aad(0xFF00, 0x11);  // >= 0xFF00 needs the 0xFFFE 32-bit form
   Bytes enc = ccm_encode_aad(aad);

@@ -49,6 +49,24 @@ TEST(Fifo, StatisticsTrackUsage) {
   EXPECT_EQ(f.total_pushed(), 6u);
 }
 
+TEST(Fifo, OrderSurvivesWrapAround) {
+  // Interleaved pushes and pops walk the ring's indices past the end of
+  // the storage many times; order, size and full/empty must not notice.
+  Fifo<int> f(5);
+  int next_in = 0, next_out = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (int k = 0; k < 1 + round % 5 && !f.full(); ++k) f.push(next_in++);
+    EXPECT_EQ(f.size(), static_cast<std::size_t>(next_in - next_out));
+    for (int k = 0; k < 1 + (round * 3) % 4 && !f.empty(); ++k) {
+      EXPECT_EQ(f.front(), next_out);
+      EXPECT_EQ(f.pop(), next_out++);
+    }
+  }
+  while (!f.empty()) EXPECT_EQ(f.pop(), next_out++);
+  EXPECT_EQ(next_out, next_in);
+  EXPECT_GT(next_in, 20);
+}
+
 TEST(Fifo, PaperGeometryHoldsA2KBPacket) {
   // 512 x 32-bit = 2048 bytes: exactly one maximum-size packet.
   Fifo<std::uint32_t> f(kCoreFifoDepth);
