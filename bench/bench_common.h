@@ -1,22 +1,17 @@
-// Shared measurement and table-printing helpers for the paper-reproduction
-// benches. All throughput numbers follow the paper's accounting:
+// Shared measurement and table-printing helpers for the benches. All
+// throughput numbers follow the paper's accounting:
 //   Mbps = payload bits x 190 MHz / cycles / 1e6
-// "Theoretical" numbers come from the measured steady-state loop slope
-// (cycles per 128-bit block); "2 KB packet" numbers come from processing a
-// 2048-byte payload end to end.
 //
 // Platform measurements run through the asynchronous host driver
 // (`host::Engine`): channels are opened as RAII handles, packets are
 // submitted as completion-token jobs, and the engine is stepped until the
-// fleet drains. One-device measurements are the `measure_platform` special
-// case of the general multi-device `measure_engine`.
+// fleet drains.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -24,8 +19,6 @@
 
 #include "common/json_writer.h"
 #include "common/rng.h"
-#include "core/single_core_harness.h"
-#include "crypto/ccm.h"
 #include "crypto/kernels.h"
 #include "host/engine.h"
 #include "sim/simulation.h"
@@ -39,55 +32,12 @@ inline double mbps_from_cycles(std::uint64_t bits, std::uint64_t cycles) {
   return sim::throughput_mbps(bits, cycles);
 }
 
-// --- single-core measurements -------------------------------------------------
-
-struct CoreMeasurement {
-  double loop_cycles_per_block;  // steady-state slope
-  double theoretical_mbps;       // 128 bits x f / slope
-  double packet2kb_mbps;         // measured on a 2048-byte payload
-};
-
-/// Measure a mode on one isolated core. `make_job` builds a job for a given
-/// block count.
-inline CoreMeasurement measure_core(std::size_t key_len,
-                                    const std::function<core::CoreJob(std::size_t)>& make_job) {
-  Rng rng(key_len * 7 + 1);
-  Bytes key = rng.bytes(key_len);
-  core::SingleCoreHarness h(key);
-  auto r_small = h.run(make_job(8));
-  auto r_large = h.run(make_job(40));
-  double slope = static_cast<double>(r_large.cycles - r_small.cycles) / 32.0;
-  auto r_2kb = h.run(make_job(128));
-  CoreMeasurement m;
-  m.loop_cycles_per_block = slope;
-  m.theoretical_mbps = 128.0 * kMHz / slope;
-  m.packet2kb_mbps = mbps_from_cycles(2048 * 8, r_2kb.cycles);
-  return m;
-}
-
-inline core::CoreJob gcm_job(std::size_t blocks, std::uint64_t seed) {
-  Rng r(seed + blocks);
-  Bytes iv = r.bytes(12);
-  return core::format_gcm_encrypt(iv, {}, r.bytes(blocks * 16));
-}
-
-inline core::CoreJob ccm1_job(std::size_t blocks, std::uint64_t seed) {
-  Rng r(seed + blocks);
-  crypto::CcmParams p{.tag_len = 8, .nonce_len = 13};
-  Bytes nonce = r.bytes(13);
-  return core::format_ccm1_encrypt(p, nonce, {}, r.bytes(blocks * 16));
-}
-
-inline core::CoreJob cbcmac_job(std::size_t blocks, std::uint64_t seed) {
-  Rng r(seed + blocks);
-  return core::format_cbcmac_generate(r.bytes((blocks + 1) * 16), 16);
-}
-
 // --- engine (multi-device) measurements -----------------------------------------
 
 struct PlatformMeasurement {
   double aggregate_mbps;
-  double mean_latency_cycles;  // accept -> complete per packet
+  double mean_latency_cycles;         // accept -> complete per packet
+  std::uint64_t latency_cycles_sum;   // the integer the mean derives from
   std::uint64_t makespan_cycles;
   std::uint32_t rejections;
 };
@@ -139,23 +89,14 @@ inline PlatformMeasurement measure_engine(const host::EngineConfig& cfg,
   m.makespan_cycles = makespan;
   m.aggregate_mbps =
       mbps_from_cycles(static_cast<std::uint64_t>(packets) * payload_len * 8, makespan);
-  double lat = 0;
   for (auto& job : jobs) {
     const auto& r = job.result();
-    lat += static_cast<double>(r.complete_cycle - r.accept_cycle);
+    m.latency_cycles_sum += r.complete_cycle - r.accept_cycle;
     m.rejections += r.rejections;
   }
-  m.mean_latency_cycles = lat / static_cast<double>(packets);
+  m.mean_latency_cycles =
+      static_cast<double>(m.latency_cycles_sum) / static_cast<double>(packets);
   return m;
-}
-
-/// One-device special case (the paper's single-MCCP platform).
-inline PlatformMeasurement measure_platform(const top::MccpConfig& cfg,
-                                            host::ChannelMode mode, std::size_t key_len,
-                                            std::size_t payload_len, std::size_t packets,
-                                            unsigned tag_len = 8, unsigned nonce_len = 13) {
-  return measure_engine({.num_devices = 1, .device = cfg}, mode, key_len, payload_len, packets,
-                        tag_len, nonce_len);
 }
 
 // --- machine-readable output (--json) -------------------------------------------
@@ -234,13 +175,6 @@ inline void print_scenario_report(const mccp::workload::ScenarioReport& r,
                 static_cast<unsigned long long>(r.reconfigurations),
                 static_cast<unsigned long long>(r.reconfig_stall_cycles),
                 r.bitstream_store.c_str());
-}
-
-/// "ours [paper]" cell, e.g. "496.3 [496]".
-inline std::string cell(double ours, double paper) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%7.1f [%4.0f]", ours, paper);
-  return buf;
 }
 
 }  // namespace mccp::bench

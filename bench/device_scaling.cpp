@@ -4,11 +4,12 @@
 // The paper scales the MCCP by the number of crypto-cores; the host driver
 // scales the platform by the number of MCCPs. Each device has its own Task
 // Scheduler, Key Scheduler and crossbar, so — unlike adding cores to one
-// MCCP, where the shared control port eventually saturates (see
-// bench/core_scaling) — devices multiply near-linearly. This bench sweeps
-// the fleet size at fixed per-device shape (the paper's 4-core MCCP) and
-// offered load per device, for GCM and for split-CCM traffic, and compares
-// the placement policies under a skewed channel mix.
+// MCCP, where the shared control port eventually saturates (see the
+// core_scaling section of bench/paper_figures) — devices multiply
+// near-linearly. This bench sweeps the fleet size at fixed per-device
+// shape (the paper's 4-core MCCP) and offered load per device, for GCM and
+// for split-CCM traffic, and compares the placement policies under a
+// skewed channel mix.
 //
 // `--threads N` steps each swept fleet with N engine worker threads
 // (default 0 = serial): device clocks and results are bit-identical either

@@ -48,6 +48,7 @@ int main() {
               single / paired);
   std::printf(
       "\nThe flip side (paper SVII.A): with four cores, 4x1 single-core packets beat\n"
-      "2x2 split pairs on total throughput — run bench/ccm_scheduling for the numbers.\n");
+      "2x2 split pairs on total throughput — bench/paper_figures (ccm_mapping) has the "
+      "numbers.\n");
   return 0;
 }

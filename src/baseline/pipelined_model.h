@@ -8,8 +8,8 @@
 // one block in flight, so throughput collapses to one block per pipeline
 // depth; and (b) "complex designs are needed when multiplexed channels use
 // different standards": it is fixed-function. These closed-form rates are
-// the comparison side of bench/flexibility_tradeoff; the MCCP side is
-// measured on the simulator.
+// the comparison side of the flexibility section of bench/paper_figures;
+// the MCCP side is measured on the simulator.
 #pragma once
 
 #include <cstddef>

@@ -21,6 +21,12 @@ class Engine;
 /// Engine-global job identifier (unique across all devices).
 using JobId = std::uint64_t;
 
+/// Device cycles a wait may run without its work finishing before it gives
+/// up: the default budget of `Completion::wait` and `Engine::wait_all`, and
+/// the scenario runner's limit on a span with jobs in flight and no
+/// completion.
+inline constexpr sim::Cycle kMaxWaitCycles = 100'000'000;
+
 namespace detail {
 
 struct JobState {
@@ -58,7 +64,7 @@ class Completion {
 
   /// Advance the engine until this job completes (or throw after
   /// max_cycles of device time).
-  const JobResult& wait(sim::Cycle max_cycles = 100'000'000);
+  const JobResult& wait(sim::Cycle max_cycles = kMaxWaitCycles);
 
  private:
   friend class Engine;

@@ -223,7 +223,7 @@ class Engine {
   bool idle() const;
   /// Step until every submitted job completed (or throw after max_cycles
   /// of device time).
-  void wait_all(sim::Cycle max_cycles = 100'000'000);
+  void wait_all(sim::Cycle max_cycles = kMaxWaitCycles);
 
   // -- results ------------------------------------------------------------------
   enum class ResultStatus { kComplete, kPending, kUnknown };

@@ -48,7 +48,7 @@ enum class CcmMapping : std::uint8_t {
 struct MccpConfig {
   std::size_t num_cores = 4;
   CcmMapping ccm_mapping = CcmMapping::kSingleCore;
-  /// Ablation knobs (bench/ablations): Task Scheduler software latency per
+  /// Ablation knobs (bench/paper_figures): Task Scheduler software latency per
   /// control instruction, and whether the per-core Key Cache is honoured
   /// (disabling it forces a full round-key expansion on every request).
   int control_latency_cycles = -1;  // -1: use timing.h default

@@ -6,7 +6,7 @@
 // latency equivalent to a short PicoBlaze routine (N instructions x 2
 // cycles). These overheads are amortized over whole packets (thousands of
 // cycles), so Table II throughput is insensitive to their exact values;
-// bench/ccm_scheduling reports them explicitly.
+// the control-latency ablation of bench/paper_figures measures how much.
 //
 // NOTE on the two timing headers: this file (namespace mccp::top) owns the
 // MCCP top-level overheads only — Task Scheduler decode/dispatch, done

@@ -110,6 +110,9 @@ ScenarioReport ScenarioRunner::run() {
 
   std::size_t inflight = 0;
   std::size_t peak_inflight = 0;
+  // Fleet clock at the last completion (or the last idle point); the stall
+  // guard in the closed loop measures from here.
+  sim::Cycle last_progress = engine.max_cycle();
 
   // Queue-depth sampling with on-the-fly compaction.
   std::vector<QueueSample> queue_depth;
@@ -131,6 +134,7 @@ ScenarioReport ScenarioRunner::run() {
 
   auto on_done = [&](ClassState& st, const host::JobResult& r) {
     --inflight;
+    last_progress = engine.max_cycle();
     ClassReport& rep = st.report;
     ++rep.completed;
     rep.busy_rejections += r.rejections;
@@ -149,6 +153,7 @@ ScenarioReport ScenarioRunner::run() {
   // never fails auth, so failures land in the class's auth_failures.
   auto on_verify_done = [&](ClassState& st, const host::JobResult& r) {
     --inflight;
+    last_progress = engine.max_cycle();
     ClassReport& rep = st.report;
     ++rep.decrypt_completed;
     rep.busy_rejections += r.rejections;
@@ -381,9 +386,17 @@ ScenarioReport ScenarioRunner::run() {
       const sim::Cycle target = static_cast<sim::Cycle>(std::ceil(*next));
       sample_up_to(target);
       engine.advance_to(target);
+      last_progress = engine.max_cycle();
     } else {
       engine.step();
-      sample_up_to(engine.max_cycle());
+      const sim::Cycle cycle = engine.max_cycle();
+      sample_up_to(cycle);
+      // A device that stops completing jobs would spin this loop forever.
+      if (cycle - last_progress > host::kMaxWaitCycles)
+        throw std::runtime_error("scenario " + spec_.name + ": " + std::to_string(inflight) +
+                                 " job(s) in flight and no completion for " +
+                                 std::to_string(host::kMaxWaitCycles) + " cycles (at cycle " +
+                                 std::to_string(cycle) + ")");
     }
   }
 

@@ -1,6 +1,6 @@
 // Quality-of-service stream prioritisation (paper SVIII: "it must also be
 // possible to priorize certain streams over others to allow some sort of
-// quality-of-service") plus the ablation knobs used by bench/ablations.
+// quality-of-service") plus the ablation knobs used by bench/paper_figures.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
