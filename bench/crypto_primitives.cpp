@@ -8,10 +8,12 @@
 // BENCH_*.json perf-trajectory artifact; `--kernel TIER` forces a crypto
 // kernel tier (portable|auto|aesni|vaes) for the google-benchmark section
 // (all other flags pass through to google-benchmark). A closing table
-// sweeps every tier this host supports and compares GCM seal/open wall
-// throughput, portable vs accelerated, in one run.
+// sweeps every tier this host supports and compares the wall throughput of
+// 2 KB GCM seal/open, CCM-256 seal/open and AES-256 CTR, portable vs
+// accelerated, in one run (`by_kernel_tier` in the JSON).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "bench_common.h"
@@ -140,54 +142,79 @@ void BM_Whirlpool(benchmark::State& state) {
 }
 BENCHMARK(BM_Whirlpool)->Arg(64)->Arg(2048);
 
-// --- per-kernel-tier GCM comparison ------------------------------------------
+// --- per-kernel-tier comparison -----------------------------------------------
 
-struct TierGcmRate {
+/// Wall MB/s of the FastDevice hot paths under one kernel tier, 2 KB
+/// payloads: GCM with a cached AES-128 GcmKey, CCM with AES-256 (the
+/// radio bulk class), and the bare AES-256 CTR keystream.
+struct TierRate {
   std::string tier;
-  double seal_mb_s = 0;  // wall MB/s, 2 KB payloads, cached GcmKey
-  double open_mb_s = 0;
+  double gcm_seal_mb_s = 0;
+  double gcm_open_mb_s = 0;
+  double ccm256_seal_mb_s = 0;
+  double ccm256_open_mb_s = 0;
+  double ctr256_mb_s = 0;
 };
 
-/// Wall throughput of one operation, measured over ~25 ms of repetitions.
+/// Wall throughput of one operation: the best of five ~5 ms windows, so a
+/// window lost to preemption on a shared host does not skew the ratios.
 template <typename Fn>
 double measure_mb_s(std::size_t bytes_per_op, Fn&& op) {
   using Clock = std::chrono::steady_clock;
   op();  // warm up (tables, caches)
-  std::size_t ops = 0;
-  auto t0 = Clock::now();
-  double elapsed = 0;
-  do {
-    for (int i = 0; i < 8; ++i) op();
-    ops += 8;
-    elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
-  } while (elapsed < 0.025);
-  return static_cast<double>(ops) * static_cast<double>(bytes_per_op) / elapsed / 1e6;
+  double best = 0;
+  for (int window = 0; window < 5; ++window) {
+    std::size_t ops = 0;
+    auto t0 = Clock::now();
+    double elapsed = 0;
+    do {
+      for (int i = 0; i < 8; ++i) op();
+      ops += 8;
+      elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
+    } while (elapsed < 0.005);
+    best = std::max(best, static_cast<double>(ops) * static_cast<double>(bytes_per_op) / elapsed);
+  }
+  return best / 1e6;
 }
 
-/// Sweep every kernel tier this host can force and measure GCM seal/open on
-/// 2 KB payloads with a cached per-key GcmKey — the FastDevice hot path.
-/// Restores the previously dispatched tier afterwards.
-std::vector<TierGcmRate> measure_gcm_by_tier() {
+/// Sweep every kernel tier this host can force, weakest first. Restores
+/// the previously dispatched tier afterwards.
+std::vector<TierRate> measure_by_tier() {
   constexpr std::size_t kPayload = 2048;
   Rng rng(42);
-  GcmKey key(aes_expand_key(rng.bytes(16)));
+  GcmKey gcm_key(aes_expand_key(rng.bytes(16)));
+  const AesRoundKeys keys256 = aes_expand_key(rng.bytes(32));
+  const CcmParams ccm{.tag_len = 8, .nonce_len = 13};
   Bytes iv = rng.bytes(12);
+  Bytes nonce = rng.bytes(13);
   Bytes aad = rng.bytes(20);
   Bytes pt = rng.bytes(kPayload);
-  GcmSealed sealed = gcm_seal(key, iv, aad, pt);
+  Block128 ctr = rng.block();
+  GcmSealed gcm_sealed = gcm_seal(gcm_key, iv, aad, pt);
+  CcmSealed ccm_sealed = ccm_seal(keys256, ccm, nonce, aad, pt);
 
   const std::string previous = active_kernel_name();
-  std::vector<TierGcmRate> rates;
+  std::vector<TierRate> rates;
   for (const std::string& tier : supported_crypto_kernels()) {
     if (tier == "auto") continue;  // would duplicate the strongest tier
     set_crypto_kernel(tier);
-    TierGcmRate r;
+    TierRate r;
     r.tier = tier;
-    r.seal_mb_s = measure_mb_s(kPayload, [&] {
-      benchmark::DoNotOptimize(gcm_seal(key, iv, aad, pt));
+    r.gcm_seal_mb_s = measure_mb_s(kPayload, [&] {
+      benchmark::DoNotOptimize(gcm_seal(gcm_key, iv, aad, pt));
     });
-    r.open_mb_s = measure_mb_s(kPayload, [&] {
-      benchmark::DoNotOptimize(gcm_open(key, iv, aad, sealed.ciphertext, sealed.tag));
+    r.gcm_open_mb_s = measure_mb_s(kPayload, [&] {
+      benchmark::DoNotOptimize(gcm_open(gcm_key, iv, aad, gcm_sealed.ciphertext, gcm_sealed.tag));
+    });
+    r.ccm256_seal_mb_s = measure_mb_s(kPayload, [&] {
+      benchmark::DoNotOptimize(ccm_seal(keys256, ccm, nonce, aad, pt));
+    });
+    r.ccm256_open_mb_s = measure_mb_s(kPayload, [&] {
+      benchmark::DoNotOptimize(
+          ccm_open(keys256, ccm, nonce, aad, ccm_sealed.ciphertext, ccm_sealed.tag));
+    });
+    r.ctr256_mb_s = measure_mb_s(kPayload, [&] {
+      benchmark::DoNotOptimize(ctr_transform(keys256, ctr, pt));
     });
     rates.push_back(std::move(r));
   }
@@ -195,14 +222,19 @@ std::vector<TierGcmRate> measure_gcm_by_tier() {
   return rates;
 }
 
-void print_gcm_tier_table(const std::vector<TierGcmRate>& rates) {
+void print_tier_table(const std::vector<TierRate>& rates) {
   bench::print_header(
-      "GCM seal/open by crypto kernel tier -- 2 KB payloads, AES-128, cached key");
-  std::printf("%-10s %14s %14s %10s\n", "tier", "seal (MB/s)", "open (MB/s)", "vs base");
-  const double base = rates.empty() ? 1.0 : rates.front().seal_mb_s;
+      "FastDevice crypto by kernel tier -- 2 KB payloads, wall MB/s "
+      "(GCM AES-128 cached key; CCM and CTR AES-256)");
+  std::printf("%-10s %9s %9s %9s %9s %9s %9s %9s\n", "tier", "GCM seal", "GCM open",
+              "CCM seal", "CCM open", "CTR", "GCM x", "CCM x");
+  if (rates.empty()) return;
+  const TierRate& base = rates.front();
   for (const auto& r : rates)
-    std::printf("%-10s %14.1f %14.1f %9.1fx\n", r.tier.c_str(), r.seal_mb_s, r.open_mb_s,
-                r.seal_mb_s / base);
+    std::printf("%-10s %9.1f %9.1f %9.1f %9.1f %9.1f %8.1fx %8.1fx\n", r.tier.c_str(),
+                r.gcm_seal_mb_s, r.gcm_open_mb_s, r.ccm256_seal_mb_s, r.ccm256_open_mb_s,
+                r.ctr256_mb_s, r.gcm_seal_mb_s / base.gcm_seal_mb_s,
+                r.ccm256_seal_mb_s / base.ccm256_seal_mb_s);
   std::printf("\ndispatched kernel: %s (MCCP_CRYPTO_KERNEL or --kernel to override)\n",
               active_kernel_name());
 }
@@ -226,7 +258,7 @@ class JsonCollector : public benchmark::ConsoleReporter {
     }
   }
 
-  void write(const std::string& path, const std::vector<TierGcmRate>& tiers) const {
+  void write(const std::string& path, const std::vector<TierRate>& tiers) const {
     bench::JsonWriter json;
     json.begin_object()
         .field("bench", "crypto_primitives")
@@ -240,12 +272,15 @@ class JsonCollector : public benchmark::ConsoleReporter {
       if (e.bytes_per_second > 0) json.field("bytes_per_second", e.bytes_per_second);
       json.end_object();
     }
-    json.end_array().begin_array("gcm_by_kernel_tier");
+    json.end_array().begin_array("by_kernel_tier");
     for (const auto& t : tiers) {
       json.begin_object()
           .field("tier", t.tier)
-          .field("seal_mb_s", t.seal_mb_s)
-          .field("open_mb_s", t.open_mb_s)
+          .field("gcm_seal_mb_s", t.gcm_seal_mb_s)
+          .field("gcm_open_mb_s", t.gcm_open_mb_s)
+          .field("ccm256_seal_mb_s", t.ccm256_seal_mb_s)
+          .field("ccm256_open_mb_s", t.ccm256_open_mb_s)
+          .field("ctr256_mb_s", t.ctr256_mb_s)
           .end_object();
     }
     json.end_array().end_object();
@@ -293,8 +328,8 @@ int main(int argc, char** argv) {
   std::printf("crypto kernel tier: %s\n", mccp::crypto::active_kernel_name());
   mccp::crypto::JsonCollector collector;
   benchmark::RunSpecifiedBenchmarks(&collector);
-  auto tiers = mccp::crypto::measure_gcm_by_tier();
-  mccp::crypto::print_gcm_tier_table(tiers);
+  auto tiers = mccp::crypto::measure_by_tier();
+  mccp::crypto::print_tier_table(tiers);
   if (!json_path.empty()) collector.write(json_path, tiers);
   benchmark::Shutdown();
   return 0;

@@ -21,7 +21,8 @@ class CbcMac {
   }
 
   /// Absorb a byte string, zero-padding the final partial block (the CCM
-  /// convention for both AAD and payload).
+  /// convention for both AAD and payload). Full blocks go through the
+  /// dispatched `cbc_mac_blocks` kernel.
   void update_padded(ByteSpan data);
 
   const Block128& mac() const { return x_; }

@@ -3,7 +3,7 @@
 #include <stdexcept>
 
 #include "crypto/cbc_mac.h"
-#include "crypto/ctr.h"
+#include "crypto/kernels.h"
 
 namespace mccp::crypto {
 
@@ -74,14 +74,25 @@ Block128 ccm_ctr_block(const CcmParams& p, ByteSpan nonce, std::uint64_t index) 
 
 namespace {
 
-Block128 ccm_compute_mac(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce,
-                         ByteSpan aad, ByteSpan plaintext) {
+/// The MAC chain after B0 and the encoded AAD: everything CBC-MAC absorbs
+/// before the payload.
+Block128 ccm_header_mac(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce,
+                        ByteSpan aad, std::size_t msg_len) {
   CbcMac mac(keys);
-  mac.update(ccm_b0(p, nonce, aad.size(), plaintext.size()));
-  Bytes encoded = ccm_encode_aad(aad);
-  if (!encoded.empty()) mac.update_padded(encoded);
-  if (!plaintext.empty()) mac.update_padded(plaintext);
+  mac.update(ccm_b0(p, nonce, aad.size(), msg_len));
+  if (!aad.empty()) mac.update_padded(ccm_encode_aad(aad));
   return mac.mac();
+}
+
+/// MAC the payload and run its CTR transform in one kernel pass, then
+/// mask the MAC with the keystream block of Ctr_0. Returns the full tag.
+Block128 ccm_payload_tag(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce,
+                         ByteSpan aad, ByteSpan in, std::uint8_t* out, bool decrypt) {
+  Block128 t = ccm_header_mac(keys, p, nonce, aad, in.size());
+  if (!in.empty())
+    active_kernels().ccm_payload(keys, ccm_ctr_block(p, nonce, 1), t, in.data(), out, in.size(),
+                                 decrypt);
+  return t ^ aes_encrypt_block(keys, ccm_ctr_block(p, nonce, 0));
 }
 
 }  // namespace
@@ -91,13 +102,11 @@ CcmSealed ccm_seal(const AesRoundKeys& keys, const CcmParams& p, ByteSpan nonce,
   if (!ccm_params_valid(p)) throw std::invalid_argument("ccm: invalid parameters");
   if (nonce.size() != p.nonce_len) throw std::invalid_argument("ccm: nonce length mismatch");
 
-  Block128 t = ccm_compute_mac(keys, p, nonce, aad, plaintext);
-
   CcmSealed out;
-  out.ciphertext = ctr_transform(keys, ccm_ctr_block(p, nonce, 1), plaintext);
-  Block128 a0_ks = aes_encrypt_block(keys, ccm_ctr_block(p, nonce, 0));
-  out.tag.resize(p.tag_len);
-  for (std::size_t i = 0; i < p.tag_len; ++i) out.tag[i] = t.b[i] ^ a0_ks.b[i];
+  out.ciphertext.resize(plaintext.size());
+  Block128 t = ccm_payload_tag(keys, p, nonce, aad, plaintext, out.ciphertext.data(),
+                               /*decrypt=*/false);
+  out.tag.assign(t.b.begin(), t.b.begin() + static_cast<std::ptrdiff_t>(p.tag_len));
   return out;
 }
 
@@ -107,12 +116,10 @@ std::optional<Bytes> ccm_open(const AesRoundKeys& keys, const CcmParams& p, Byte
   if (nonce.size() != p.nonce_len) throw std::invalid_argument("ccm: nonce length mismatch");
   if (tag.size() != p.tag_len) return std::nullopt;
 
-  Bytes plaintext = ctr_transform(keys, ccm_ctr_block(p, nonce, 1), ciphertext);
-  Block128 t = ccm_compute_mac(keys, p, nonce, aad, plaintext);
-  Block128 a0_ks = aes_encrypt_block(keys, ccm_ctr_block(p, nonce, 0));
-  Bytes expected(p.tag_len);
-  for (std::size_t i = 0; i < p.tag_len; ++i) expected[i] = t.b[i] ^ a0_ks.b[i];
-  if (!ct_equal(expected, tag)) return std::nullopt;
+  Bytes plaintext(ciphertext.size());
+  Block128 t = ccm_payload_tag(keys, p, nonce, aad, ciphertext, plaintext.data(),
+                               /*decrypt=*/true);
+  if (!ct_equal(ByteSpan(t.b.data(), p.tag_len), tag)) return std::nullopt;
   return plaintext;
 }
 

@@ -5,6 +5,8 @@
 // each SGFM instruction absorbs one 128-bit block, FGFM reads the digest.
 #pragma once
 
+#include <memory>
+
 #include "common/bytes.h"
 #include "crypto/gf128.h"
 #include "crypto/kernels.h"
@@ -15,10 +17,15 @@ namespace mccp::crypto {
 /// multiplication tables (Gf128Table), so each absorbed block costs 16
 /// table lookups instead of a 128-iteration bit-serial multiply; property
 /// tests pin the result to the reference gf128_mul.
+///
+/// An accumulator either owns its table (built from H, held on the heap)
+/// or borrows one, in which case it is just a pointer and the running
+/// digest. A copy of a borrower keeps borrowing; a copy of an owner owns
+/// its own copy of the table.
 class Ghash {
  public:
-  Ghash() = default;
-  explicit Ghash(const Block128& h) : owned_(h), table_(&owned_) {}
+  explicit Ghash(const Block128& h)
+      : owned_(std::make_unique<Gf128Table>(h)), table_(owned_.get()) {}
   /// Borrow a prebuilt table (e.g. a cached per-key `crypto::GcmKey`):
   /// skips the 256-multiple table build entirely. The table must outlive
   /// this accumulator.
@@ -27,19 +34,19 @@ class Ghash {
   Ghash(const Ghash& other) { *this = other; }
   Ghash& operator=(const Ghash& other) {
     if (this != &other) {
-      owned_ = other.owned_;
+      owned_ = other.owned_ ? std::make_unique<Gf128Table>(*other.owned_) : nullptr;
+      table_ = owned_ ? owned_.get() : other.table_;
       y_ = other.y_;
-      // A copy keeps borrowing an external table but must not point into
-      // the source's owned storage.
-      table_ = other.table_ == &other.owned_ ? &owned_ : other.table_;
     }
     return *this;
   }
+  Ghash(Ghash&&) noexcept = default;
+  Ghash& operator=(Ghash&&) noexcept = default;
 
   /// Load a new hash subkey (resets the accumulator and owns the table).
   void load_h(const Block128& h) {
-    owned_.load(h);
-    table_ = &owned_;
+    owned_ = std::make_unique<Gf128Table>(h);
+    table_ = owned_.get();
     y_ = Block128{};
   }
 
@@ -56,8 +63,8 @@ class Ghash {
   const Block128& h() const { return table_->h(); }
 
  private:
-  Gf128Table owned_;
-  const Gf128Table* table_ = &owned_;
+  std::unique_ptr<Gf128Table> owned_;  // null when borrowing
+  const Gf128Table* table_ = nullptr;
   Block128 y_{};
 };
 

@@ -61,9 +61,35 @@ void portable_ghash_blocks(const Gf128Table& table, Block128& y, const std::uint
     y = table.mul(y ^ Block128::from_span(ByteSpan(data + 16 * i, 16)));
 }
 
+void portable_cbc_mac_blocks(const AesRoundKeys& keys, Block128& x, const std::uint8_t* data,
+                             std::size_t nblocks) {
+  for (std::size_t i = 0; i < nblocks; ++i)
+    x = aes_encrypt_block_portable(keys, x ^ Block128::from_span(ByteSpan(data + 16 * i, 16)));
+}
+
+/// The MAC chain over `len` bytes, zero-padding the final partial block.
+void portable_cbc_mac_padded(const AesRoundKeys& keys, Block128& x, const std::uint8_t* data,
+                             std::size_t len) {
+  const std::size_t full = len / 16;
+  portable_cbc_mac_blocks(keys, x, data, full);
+  if (full * 16 < len)  // from_span zero-pads
+    x = aes_encrypt_block_portable(keys, x ^ Block128::from_span(ByteSpan(data + 16 * full,
+                                                                          len - 16 * full)));
+}
+
+// CCM's two halves one after the other: MAC the plaintext, then CTR.
+void portable_ccm_payload(const AesRoundKeys& keys, const Block128& ctr1, Block128& x,
+                          const std::uint8_t* in, std::uint8_t* out, std::size_t len,
+                          bool decrypt) {
+  if (!decrypt) portable_cbc_mac_padded(keys, x, in, len);
+  portable_ctr_xor(keys, ctr1, /*wide_counter=*/true, in, out, len);
+  if (decrypt) portable_cbc_mac_padded(keys, x, out, len);
+}
+
 constexpr CryptoKernels kPortableKernels{
-    "portable",          portable_aes_encrypt, portable_aes_decrypt,
-    portable_ctr_xor,    portable_ghash_mul,   portable_ghash_blocks,
+    "portable",              portable_aes_encrypt, portable_aes_decrypt,
+    portable_ctr_xor,        portable_ghash_mul,   portable_ghash_blocks,
+    portable_cbc_mac_blocks, portable_ccm_payload,
 };
 
 // ---- selection --------------------------------------------------------------

@@ -5,8 +5,12 @@
 // x86 hardware with the AES-NI and PCLMULQDQ extensions (optionally VAES +
 // AVX2 for 2x-wide CTR pipelining), a `CryptoKernels` function-pointer set
 // selected once at startup routes the block-level hot paths — single-block
-// AES, multi-block CTR keystream, GHASH multiply — through the hardware
-// instructions instead. Outputs are bit-identical by construction (the
+// AES, multi-block CTR keystream, GHASH multiply, the CBC-MAC chain and the
+// one-pass CCM payload — through the hardware instructions instead. The
+// hardware CTR kernels step their counters inside a vector register; the
+// CCM pass stitches each latency-bound CBC-MAC block with an independent
+// CTR block, the software form of the split-CCM core pair the simulator
+// models. Outputs are bit-identical by construction (the
 // instructions implement the same field math), and the cross-kernel suite in
 // tests/crypto/kernel_dispatch_test.cpp plus the tier-parametrized KAT and
 // backend-differential suites enforce it.
@@ -58,6 +62,20 @@ struct CryptoKernels {
   /// the table's cached powers of H.
   void (*ghash_blocks)(const Gf128Table& table, Block128& y, const std::uint8_t* data,
                        std::size_t nblocks);
+
+  /// CBC-MAC chain over `nblocks` contiguous 16-byte blocks:
+  /// x <- E(K, x ^ B_i) folded over all blocks.
+  void (*cbc_mac_blocks)(const AesRoundKeys& keys, Block128& x, const std::uint8_t* data,
+                         std::size_t nblocks);
+
+  /// One CCM payload pass: the CTR transform out = in ^ E(K, ctr_i) with
+  /// ctr_0 = `ctr1` and inc32 steps, while the MAC chain `x` absorbs the
+  /// plaintext — `in` when sealing, the freshly decrypted `out` when
+  /// opening (`decrypt`) — with the final partial block zero-padded.
+  /// `in` and `out` may alias exactly.
+  void (*ccm_payload)(const AesRoundKeys& keys, const Block128& ctr1, Block128& x,
+                      const std::uint8_t* in, std::uint8_t* out, std::size_t len,
+                      bool decrypt);
 };
 
 /// Kernel tiers, weakest to strongest.

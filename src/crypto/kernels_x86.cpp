@@ -14,8 +14,16 @@
 //    Block128) is byte-for-byte the layout the instructions consume, and
 //    the equivalent-inverse `drk` schedule is precisely AESDEC's expected
 //    key order.
-//  * Counter blocks are still generated with the scalar inc32/inc16
-//    helpers, so the INC core's 16-bit wrap at 0xFFFF is preserved exactly.
+//  * Counter blocks live byte-reversed in a vector register, where the
+//    big-endian low word of the block is lane 0: inc32 is an add_epi32 and
+//    the INC core's inc16 an add_epi16 on that lane, each wrapping exactly
+//    as the scalar helpers do (0xFFFFFFFF -> 0 without carrying into byte
+//    11; 0xFFFF -> 0 without carrying into byte 13).
+//  * The CCM pass runs the CBC-MAC chain, which is latency-bound (each
+//    block needs the previous block's ciphertext), and carries one
+//    independent CTR block through the same AESENC rounds in its shadow:
+//    the "stitching" technique of the white paper cited below, applied to
+//    CCM's two halves.
 //  * GHASH uses the reflected-operand carry-less multiply of Intel's GCM
 //    white paper (Gueron & Kounavis): operands are byte-reversed on load,
 //    the 255-bit product is shifted left one bit, then reduced modulo
@@ -37,11 +45,10 @@
 
 #include <cstring>
 
-#include "crypto/ctr.h"
-
 namespace mccp::crypto {
 namespace {
 
+#define MCCP_TARGET_SSSE3 __attribute__((target("ssse3")))
 #define MCCP_TARGET_AESNI __attribute__((target("aes,ssse3")))
 #define MCCP_TARGET_CLMUL __attribute__((target("pclmul,ssse3")))
 #define MCCP_TARGET_VAES __attribute__((target("vaes,avx2,aes,ssse3")))
@@ -74,8 +81,35 @@ bool cpu_has_vaes() {
 
 // ---- AES block pipeline (AES-NI) -------------------------------------------
 
+MCCP_TARGET_SSSE3 inline __m128i bswap128(__m128i x) {
+  const __m128i rev = _mm_setr_epi8(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+  return _mm_shuffle_epi8(x, rev);
+}
+
 MCCP_TARGET_AESNI inline __m128i load_rk(const Block128& rk) {
   return _mm_loadu_si128(reinterpret_cast<const __m128i*>(rk.b.data()));
+}
+
+MCCP_TARGET_AESNI inline __m128i load_block(const std::uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+MCCP_TARGET_AESNI inline void store_block(std::uint8_t* p, __m128i x) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), x);
+}
+
+/// The first `n` (< 16) bytes at `p`, zero-padded to a block.
+MCCP_TARGET_AESNI inline __m128i load_partial(const std::uint8_t* p, std::size_t n) {
+  alignas(16) std::uint8_t buf[16] = {};
+  std::memcpy(buf, p, n);
+  return _mm_load_si128(reinterpret_cast<const __m128i*>(buf));
+}
+
+/// Store the first `n` (< 16) bytes of `x` at `p`.
+MCCP_TARGET_AESNI inline void store_partial(std::uint8_t* p, __m128i x, std::size_t n) {
+  alignas(16) std::uint8_t buf[16];
+  _mm_store_si128(reinterpret_cast<__m128i*>(buf), x);
+  std::memcpy(p, buf, n);
 }
 
 /// Encrypt `n` (1..8) independent blocks in lockstep: one round-key load
@@ -94,10 +128,10 @@ MCCP_TARGET_AESNI inline void encrypt_lanes(const AesRoundKeys& keys, __m128i* x
 }
 
 MCCP_TARGET_AESNI Block128 aesni_encrypt(const AesRoundKeys& keys, const Block128& in) {
-  __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in.b.data()));
+  __m128i x = load_block(in.b.data());
   encrypt_lanes(keys, &x, 1);
   Block128 out;
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out.b.data()), x);
+  store_block(out.b.data(), x);
   return out;
 }
 
@@ -106,54 +140,90 @@ MCCP_TARGET_AESNI Block128 aesni_decrypt(const AesRoundKeys& keys, const Block12
   // middle keys, drk[nr] = rk[0]) is exactly what AESDEC's round order
   // expects.
   const int nr = keys.rounds();
-  __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in.b.data()));
+  __m128i x = load_block(in.b.data());
   x = _mm_xor_si128(x, load_rk(keys.drk[0]));
   for (int r = 1; r < nr; ++r) x = _mm_aesdec_si128(x, load_rk(keys.drk[static_cast<std::size_t>(r)]));
   x = _mm_aesdeclast_si128(x, load_rk(keys.drk[static_cast<std::size_t>(nr)]));
   Block128 out;
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out.b.data()), x);
+  store_block(out.b.data(), x);
   return out;
+}
+
+// ---- round keys held in registers -------------------------------------------
+//
+// The CBC-MAC chain and the CCM pass are latency-bound: each block waits for
+// the one before it. With the round count a template parameter the rounds
+// unroll fully and the schedule is loaded into registers once per call, not
+// once per round of every block.
+
+template <int Nr>
+MCCP_TARGET_AESNI inline void load_schedule(const AesRoundKeys& keys, __m128i* k) {
+#pragma GCC unroll 16
+  for (int r = 0; r <= Nr; ++r) k[r] = load_rk(keys.rk[static_cast<std::size_t>(r)]);
+}
+
+template <int Nr>
+MCCP_TARGET_AESNI inline __m128i encrypt1(const __m128i* k, __m128i a) {
+  a = _mm_xor_si128(a, k[0]);
+#pragma GCC unroll 16
+  for (int r = 1; r < Nr; ++r) a = _mm_aesenc_si128(a, k[r]);
+  return _mm_aesenclast_si128(a, k[Nr]);
+}
+
+/// Two independent blocks through the same rounds, interleaved so the
+/// second rides in the first's AESENC latency.
+template <int Nr>
+MCCP_TARGET_AESNI inline void encrypt2(const __m128i* k, __m128i& a, __m128i& b) {
+  a = _mm_xor_si128(a, k[0]);
+  b = _mm_xor_si128(b, k[0]);
+#pragma GCC unroll 16
+  for (int r = 1; r < Nr; ++r) {
+    a = _mm_aesenc_si128(a, k[r]);
+    b = _mm_aesenc_si128(b, k[r]);
+  }
+  a = _mm_aesenclast_si128(a, k[Nr]);
+  b = _mm_aesenclast_si128(b, k[Nr]);
+}
+
+// ---- counters in a vector register ------------------------------------------
+
+/// A counter block byte-reversed so its big-endian low word is lane 0.
+MCCP_TARGET_AESNI inline __m128i load_counter(const Block128& ctr) {
+  return bswap128(load_block(ctr.b.data()));
+}
+
+/// Step a byte-reversed counter once: inc32 adds 1 to the low 32-bit lane,
+/// inc16 to the low 16-bit lane, each wrapping within its width.
+MCCP_TARGET_AESNI inline __m128i counter_next(__m128i rev, bool wide_counter) {
+  const __m128i one = _mm_cvtsi32_si128(1);
+  return wide_counter ? _mm_add_epi32(rev, one) : _mm_add_epi16(rev, one);
 }
 
 // ---- CTR keystream ----------------------------------------------------------
 
-/// Fill `cbuf` with `blocks` consecutive counter values using the scalar
-/// increment helpers (so inc16's 0xFFFF wrap is bit-exact) and leave `ctr`
-/// at the next value.
-inline void materialize_counters(Block128& ctr, bool wide_counter, std::uint8_t* cbuf,
-                                 std::size_t blocks) {
-  for (std::size_t b = 0; b < blocks; ++b) {
-    std::memcpy(cbuf + 16 * b, ctr.b.data(), 16);
-    ctr = wide_counter ? inc32(ctr) : inc16(ctr, 1);
-  }
-}
-
 MCCP_TARGET_AESNI void aesni_ctr_xor(const AesRoundKeys& keys, const Block128& ctr0,
                                      bool wide_counter, const std::uint8_t* in, std::uint8_t* out,
                                      std::size_t len) {
-  Block128 ctr = ctr0;
-  alignas(16) std::uint8_t cbuf[16 * 8];
+  __m128i ctr = load_counter(ctr0);
   std::size_t off = 0;
   while (off < len) {
     const std::size_t n = len - off;
     std::size_t blocks = (n + 15) / 16;
     if (blocks > 8) blocks = 8;
-    materialize_counters(ctr, wide_counter, cbuf, blocks);
     __m128i x[8];
-    for (std::size_t b = 0; b < blocks; ++b)
-      x[b] = _mm_load_si128(reinterpret_cast<const __m128i*>(cbuf + 16 * b));
+    for (std::size_t b = 0; b < blocks; ++b) {
+      x[b] = bswap128(ctr);
+      ctr = counter_next(ctr, wide_counter);
+    }
     encrypt_lanes(keys, x, static_cast<int>(blocks));
     const std::size_t take = n < 16 * blocks ? n : 16 * blocks;
     std::size_t b = 0;
-    for (; 16 * (b + 1) <= take; ++b) {
-      __m128i d = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + off + 16 * b));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + off + 16 * b),
-                       _mm_xor_si128(d, x[b]));
-    }
+    for (; 16 * (b + 1) <= take; ++b)
+      store_block(out + off + 16 * b, _mm_xor_si128(load_block(in + off + 16 * b), x[b]));
     if (16 * b < take) {  // partial final block
-      alignas(16) std::uint8_t ks[16];
-      _mm_store_si128(reinterpret_cast<__m128i*>(ks), x[b]);
-      for (std::size_t i = 16 * b; i < take; ++i) out[off + i] = in[off + i] ^ ks[i - 16 * b];
+      const std::size_t tail = take - 16 * b;
+      store_partial(out + off + 16 * b,
+                    _mm_xor_si128(load_partial(in + off + 16 * b, tail), x[b]), tail);
     }
     off += take;
   }
@@ -167,24 +237,36 @@ MCCP_TARGET_VAES inline __m256i broadcast_rk(const Block128& rk) {
 MCCP_TARGET_VAES void vaes_ctr_xor(const AesRoundKeys& keys, const Block128& ctr0,
                                    bool wide_counter, const std::uint8_t* in, std::uint8_t* out,
                                    std::size_t len) {
-  Block128 ctr = ctr0;
-  alignas(32) std::uint8_t cbuf[16 * 16];
+  // Two byte-reversed counters per YMM register, stepping by 2 in each
+  // 128-bit lane; _mm256_shuffle_epi8 byte-reverses within each lane.
+  const __m128i c0 = load_counter(ctr0);
+  __m256i ctr = _mm256_inserti128_si256(_mm256_castsi128_si256(c0),
+                                        counter_next(c0, wide_counter), 1);
+  const __m256i two = _mm256_set_epi32(0, 0, 0, 2, 0, 0, 0, 2);
+  const __m256i rev = _mm256_broadcastsi128_si256(
+      _mm_setr_epi8(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0));
+  const int nr = keys.rounds();
   std::size_t off = 0;
   // 16 blocks per iteration: 8 YMM lanes of 2 blocks each.
   while (len - off >= 16 * 16) {
-    materialize_counters(ctr, wide_counter, cbuf, 16);
     __m256i x[8];
-    for (int j = 0; j < 8; ++j)
-      x[j] = _mm256_load_si256(reinterpret_cast<const __m256i*>(cbuf + 32 * j));
-    const int nr = keys.rounds();
+#pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j) {
+      x[j] = _mm256_shuffle_epi8(ctr, rev);
+      ctr = wide_counter ? _mm256_add_epi32(ctr, two) : _mm256_add_epi16(ctr, two);
+    }
     __m256i k = broadcast_rk(keys.rk[0]);
+#pragma GCC unroll 8
     for (int j = 0; j < 8; ++j) x[j] = _mm256_xor_si256(x[j], k);
     for (int r = 1; r < nr; ++r) {
       k = broadcast_rk(keys.rk[static_cast<std::size_t>(r)]);
-      for (int j = 0; j < 8; ++j) x[j] = _mm256_aesenc_epi128(x[j], k);
+  #pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j) x[j] = _mm256_aesenc_epi128(x[j], k);
     }
     k = broadcast_rk(keys.rk[static_cast<std::size_t>(nr)]);
+#pragma GCC unroll 8
     for (int j = 0; j < 8; ++j) x[j] = _mm256_aesenclast_epi128(x[j], k);
+#pragma GCC unroll 8
     for (int j = 0; j < 8; ++j) {
       __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + off + 32 * j));
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + off + 32 * j),
@@ -192,15 +274,97 @@ MCCP_TARGET_VAES void vaes_ctr_xor(const AesRoundKeys& keys, const Block128& ctr
     }
     off += 16 * 16;
   }
-  if (off < len) aesni_ctr_xor(keys, ctr, wide_counter, in + off, out + off, len - off);
+  if (off < len) {
+    Block128 next;
+    store_block(next.b.data(), bswap128(_mm256_castsi256_si128(ctr)));
+    aesni_ctr_xor(keys, next, wide_counter, in + off, out + off, len - off);
+  }
+}
+
+// ---- CBC-MAC and the one-pass CCM payload -----------------------------------
+
+template <int Nr>
+MCCP_TARGET_AESNI void cbc_mac_blocks_impl(const AesRoundKeys& keys, Block128& x,
+                                           const std::uint8_t* data, std::size_t nblocks) {
+  __m128i k[Nr + 1];
+  load_schedule<Nr>(keys, k);
+  __m128i mac = load_block(x.b.data());
+  for (std::size_t i = 0; i < nblocks; ++i)
+    mac = encrypt1<Nr>(k, _mm_xor_si128(mac, load_block(data + 16 * i)));
+  store_block(x.b.data(), mac);
+}
+
+MCCP_TARGET_AESNI void aesni_cbc_mac_blocks(const AesRoundKeys& keys, Block128& x,
+                                            const std::uint8_t* data, std::size_t nblocks) {
+  switch (keys.rounds()) {
+    case 10: return cbc_mac_blocks_impl<10>(keys, x, data, nblocks);
+    case 12: return cbc_mac_blocks_impl<12>(keys, x, data, nblocks);
+    default: return cbc_mac_blocks_impl<14>(keys, x, data, nblocks);
+  }
+}
+
+template <int Nr>
+MCCP_TARGET_AESNI void ccm_payload_impl(const AesRoundKeys& keys, const Block128& ctr1,
+                                        Block128& x, const std::uint8_t* in, std::uint8_t* out,
+                                        std::size_t len, bool decrypt) {
+  __m128i k[Nr + 1];
+  load_schedule<Nr>(keys, k);
+  const std::size_t full = len / 16;
+  const std::size_t tail = len % 16;
+  __m128i ctr = load_counter(ctr1);
+  __m128i mac = load_block(x.b.data());
+  if (!decrypt) {
+    // Seal: block i's plaintext feeds the MAC and block i's counter the
+    // keystream, so the two run through the rounds side by side.
+    for (std::size_t i = 0; i < full; ++i) {
+      const __m128i p = load_block(in + 16 * i);
+      __m128i ks = bswap128(ctr);
+      ctr = counter_next(ctr, /*wide_counter=*/true);
+      mac = _mm_xor_si128(mac, p);
+      encrypt2<Nr>(k, mac, ks);
+      store_block(out + 16 * i, _mm_xor_si128(p, ks));
+    }
+    if (tail != 0) {
+      const __m128i p = load_partial(in + 16 * full, tail);
+      __m128i ks = bswap128(ctr);
+      mac = _mm_xor_si128(mac, p);
+      encrypt2<Nr>(k, mac, ks);
+      store_partial(out + 16 * full, _mm_xor_si128(p, ks), tail);
+    }
+  } else if (len != 0) {
+    // Open: the MAC absorbs plaintext, which needs its own keystream block
+    // first, so the keystream runs one block ahead — block i+1's counter
+    // rides in MAC block i's shadow. The last pass computes one keystream
+    // block nobody reads, for free.
+    __m128i ks = encrypt1<Nr>(k, bswap128(ctr));
+    ctr = counter_next(ctr, /*wide_counter=*/true);
+    for (std::size_t i = 0; i < full; ++i) {
+      const __m128i p = _mm_xor_si128(load_block(in + 16 * i), ks);
+      store_block(out + 16 * i, p);
+      mac = _mm_xor_si128(mac, p);
+      ks = bswap128(ctr);
+      ctr = counter_next(ctr, /*wide_counter=*/true);
+      encrypt2<Nr>(k, mac, ks);
+    }
+    if (tail != 0) {
+      store_partial(out + 16 * full, _mm_xor_si128(load_partial(in + 16 * full, tail), ks), tail);
+      mac = encrypt1<Nr>(k, _mm_xor_si128(mac, load_partial(out + 16 * full, tail)));
+    }
+  }
+  store_block(x.b.data(), mac);
+}
+
+MCCP_TARGET_AESNI void aesni_ccm_payload(const AesRoundKeys& keys, const Block128& ctr1,
+                                         Block128& x, const std::uint8_t* in, std::uint8_t* out,
+                                         std::size_t len, bool decrypt) {
+  switch (keys.rounds()) {
+    case 10: return ccm_payload_impl<10>(keys, ctr1, x, in, out, len, decrypt);
+    case 12: return ccm_payload_impl<12>(keys, ctr1, x, in, out, len, decrypt);
+    default: return ccm_payload_impl<14>(keys, ctr1, x, in, out, len, decrypt);
+  }
 }
 
 // ---- GHASH via carry-less multiply -----------------------------------------
-
-MCCP_TARGET_CLMUL inline __m128i bswap128(__m128i x) {
-  const __m128i rev = _mm_setr_epi8(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
-  return _mm_shuffle_epi8(x, rev);
-}
 
 /// Schoolbook 128x128 carry-less multiply into a 256-bit product [hi:lo].
 MCCP_TARGET_CLMUL inline void clmul256(__m128i a, __m128i b, __m128i* lo, __m128i* hi) {
@@ -313,14 +477,18 @@ MCCP_TARGET_CLMUL void clmul_ghash_blocks(const Gf128Table& table, Block128& y,
 
 // ---- kernel tables ----------------------------------------------------------
 
+// The CBC-MAC chain and the CCM pass carry one block per MAC block, which
+// fits in 128-bit registers; the vaes tier shares them.
 constexpr CryptoKernels kAesniKernels{
-    "aesni",        aesni_encrypt,   aesni_decrypt,
-    aesni_ctr_xor,  clmul_ghash_mul, clmul_ghash_blocks,
+    "aesni",              aesni_encrypt,   aesni_decrypt,
+    aesni_ctr_xor,        clmul_ghash_mul, clmul_ghash_blocks,
+    aesni_cbc_mac_blocks, aesni_ccm_payload,
 };
 
 constexpr CryptoKernels kVaesKernels{
-    "vaes",        aesni_encrypt,   aesni_decrypt,
-    vaes_ctr_xor,  clmul_ghash_mul, clmul_ghash_blocks,
+    "vaes",               aesni_encrypt,   aesni_decrypt,
+    vaes_ctr_xor,         clmul_ghash_mul, clmul_ghash_blocks,
+    aesni_cbc_mac_blocks, aesni_ccm_payload,
 };
 
 }  // namespace
