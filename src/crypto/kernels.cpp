@@ -130,7 +130,9 @@ const CryptoKernels* resolve(std::string_view name, bool from_env) {
                                 "' is not supported on this CPU");
   }
   if (from_env) {
-    std::fprintf(stderr, "mccp: unknown MCCP_CRYPTO_KERNEL=%.*s (want portable|auto); using auto\n",
+    std::fprintf(stderr,
+                 "mccp: unknown MCCP_CRYPTO_KERNEL=%.*s (want portable|auto|aesni|vaes); "
+                 "using auto\n",
                  static_cast<int>(name.size()), name.data());
     return best_kernels();
   }

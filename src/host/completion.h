@@ -64,7 +64,13 @@ class Completion {
 
   /// Advance the engine until this job completes (or throw after
   /// max_cycles of device time).
-  const JobResult& wait(sim::Cycle max_cycles = kMaxWaitCycles);
+  const JobResult& wait(sim::Cycle max_cycles = kMaxWaitCycles) &;
+  /// On a temporary (`engine.submit_encrypt(...).wait()`) the result comes
+  /// back by value: the engine keeps no job state once the job is
+  /// delivered, so the last token going away frees the result with it.
+  JobResult wait(sim::Cycle max_cycles = kMaxWaitCycles) && {
+    return static_cast<Completion&>(*this).wait(max_cycles);
+  }
 
  private:
   friend class Engine;

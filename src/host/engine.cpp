@@ -34,7 +34,7 @@ void Completion::on_done(std::function<void(const JobResult&)> fn) {
   state_->callbacks.push_back(std::move(fn));
 }
 
-const JobResult& Completion::wait(sim::Cycle max_cycles) {
+const JobResult& Completion::wait(sim::Cycle max_cycles) & {
   if (!state_ || engine_ == nullptr)
     throw std::logic_error("Completion::wait: invalid (default) completion");
   sim::Cycle start = engine_->max_cycle();
@@ -283,7 +283,6 @@ Completion Engine::submit(const Channel& ch, JobSpec spec) {
 
   if (keep_specs_) st->spec = std::make_unique<JobSpec>(spec);
   st->device_job = devices_[st->device]->submit(std::move(spec));
-  jobs_[st->id] = st;
   track(st);
   return Completion(this, st);
 }
@@ -352,7 +351,6 @@ std::vector<Completion> Engine::submit_batch(const Channel& ch, std::vector<JobS
     st->channel_uid = ch.uid_;
     st->device_job = device_jobs[i];
     if (keep_specs_) st->spec = std::make_unique<JobSpec>(std::move(retained[i]));
-    jobs_[st->id] = st;
     track(st);
     completions.push_back(Completion(this, std::move(st)));
   }
@@ -542,36 +540,6 @@ bool Engine::inflight_only_on_failed() const {
   for (std::size_t d = 0; d < devices_.size(); ++d)
     if (devices_[d] && !inflight_[d].empty() && !devices_[d]->failed()) return false;
   return true;
-}
-
-Engine::ResultStatus Engine::status(JobId id) const {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return ResultStatus::kUnknown;
-  return it->second->done ? ResultStatus::kComplete : ResultStatus::kPending;
-}
-
-const JobResult* Engine::find_result(JobId id) const {
-  auto it = jobs_.find(id);
-  return it != jobs_.end() && it->second->done ? &it->second->result : nullptr;
-}
-
-const JobResult* Engine::peek(JobId id) const {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return nullptr;
-  if (it->second->done) return &it->second->result;
-  if (!devices_[it->second->device]) return nullptr;
-  return devices_[it->second->device]->result(it->second->device_job);
-}
-
-const JobResult& Engine::result(JobId id) const {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end())
-    throw std::out_of_range("Engine::result: unknown JobId " + std::to_string(id) +
-                            " (never issued by this engine)");
-  if (!it->second->done)
-    throw std::out_of_range("Engine::result: JobId " + std::to_string(id) +
-                            " is still in flight; use wait()/step() or peek()");
-  return it->second->result;
 }
 
 sim::Cycle Engine::max_cycle() const {

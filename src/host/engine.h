@@ -5,7 +5,9 @@
 // devices behind one driver. The Engine owns N `host::Device`s, shards
 // channels across them with a pluggable placement policy, multiplexes any
 // number of in-flight jobs, and exposes an asynchronous submit API:
-// `submit_*()` returns a `Completion` token (callbacks + poll/wait). RAII
+// `submit_*()` returns a `Completion` token (callbacks + poll/wait), the
+// only way to a job's result: the engine drops a job's state once it is
+// delivered, so state no token holds is freed then. RAII
 // `host::Channel` handles auto-CLOSE their device channel slot and carry
 // per-channel statistics.
 //
@@ -225,18 +227,6 @@ class Engine {
   /// of device time).
   void wait_all(sim::Cycle max_cycles = kMaxWaitCycles);
 
-  // -- results ------------------------------------------------------------------
-  enum class ResultStatus { kComplete, kPending, kUnknown };
-  ResultStatus status(JobId id) const;
-  /// Final result, or nullptr while pending / unknown (never throws).
-  const JobResult* find_result(JobId id) const;
-  /// Live view: final result once done, the in-flight partial before that;
-  /// nullptr if the id was never issued.
-  const JobResult* peek(JobId id) const;
-  /// Final result; throws std::out_of_range with a distinct, descriptive
-  /// message for unknown vs still-pending ids (never a bare map::at).
-  const JobResult& result(JobId id) const;
-
   // -- dynamic membership -------------------------------------------------------
   // Device slots are stable for the engine's lifetime: removing a device
   // tombstones its slot (channels, jobs, worker sharding and round-robin
@@ -424,7 +414,6 @@ class Engine {
   /// the AES-mode channels are following (and vice versa).
   std::size_t rr_next_[2] = {0, 0};  // indexed by reconfig::CoreImage
 
-  std::map<JobId, std::shared_ptr<detail::JobState>> jobs_;
   /// In-flight jobs sharded by device, each list ascending by JobId
   /// (appends are monotone; failover resubmission inserts in sorted
   /// position), so a device's first complete entry is its next delivery.

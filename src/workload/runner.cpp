@@ -22,6 +22,23 @@ double ClassReport::throughput_mbps() const {
   return sim::throughput_mbps(payload_bytes * 8, last_complete_cycle - first_submit_cycle);
 }
 
+void ClassReport::merge(const ClassReport& other) {
+  offered += other.offered;
+  submitted += other.submitted;
+  completed += other.completed;
+  auth_failures += other.auth_failures;
+  dropped += other.dropped;
+  busy_rejections += other.busy_rejections;
+  payload_bytes += other.payload_bytes;
+  throttled += other.throttled;
+  shed += other.shed;
+  decrypt_submitted += other.decrypt_submitted;
+  decrypt_completed += other.decrypt_completed;
+  last_complete_cycle = std::max(last_complete_cycle, other.last_complete_cycle);
+  latency.merge(other.latency);
+  service.merge(other.service);
+}
+
 std::uint64_t ScenarioReport::total_offered() const {
   std::uint64_t n = 0;
   for (const ClassReport& c : classes) n += c.offered;
@@ -135,30 +152,12 @@ ScenarioReport ScenarioRunner::run() {
   auto on_done = [&](ClassState& st, const host::JobResult& r) {
     --inflight;
     last_progress = engine.max_cycle();
-    ClassReport& rep = st.report;
-    ++rep.completed;
-    rep.busy_rejections += r.rejections;
-    rep.last_complete_cycle = std::max(rep.last_complete_cycle, r.complete_cycle);
-    if (!r.auth_ok) {
-      ++rep.auth_failures;
-      return;
-    }
-    rep.latency.record(r.complete_cycle - r.submit_cycle);
-    if (r.accept_cycle > 0 && r.accept_cycle >= r.submit_cycle)
-      rep.service.record(r.complete_cycle - r.accept_cycle);
+    st.report.record_completion(r);
   };
-
-  // Completion accounting for a decrypt/verify round-trip job. Round-trips
-  // live outside offered/completed (those count arrivals); a clean one
-  // never fails auth, so failures land in the class's auth_failures.
   auto on_verify_done = [&](ClassState& st, const host::JobResult& r) {
     --inflight;
     last_progress = engine.max_cycle();
-    ClassReport& rep = st.report;
-    ++rep.decrypt_completed;
-    rep.busy_rejections += r.rejections;
-    rep.last_complete_cycle = std::max(rep.last_complete_cycle, r.complete_cycle);
-    if (!r.auth_ok) ++rep.auth_failures;
+    st.report.record_verify_completion(r);
   };
 
   const sim::Cycle start_cycle = engine.max_cycle();

@@ -38,6 +38,7 @@
 // (tests/workload/scenario_test.cpp pins this).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -89,6 +90,38 @@ struct ClassReport {
 
   /// Goodput over the class's active window, Mbps at 190 MHz.
   double throughput_mbps() const;
+
+  /// Book one arrival's completion. `done` is a host::JobResult or a
+  /// net::CompletionFrame: anything with auth_ok, rejections and the
+  /// submit/accept/complete cycle stamps. Each runner keeps its own
+  /// first_submit_cycle rule.
+  template <class Done>
+  void record_completion(const Done& done) {
+    ++completed;
+    busy_rejections += done.rejections;
+    last_complete_cycle = std::max<sim::Cycle>(last_complete_cycle, done.complete_cycle);
+    if (!done.auth_ok) {
+      ++auth_failures;
+      return;
+    }
+    latency.record(done.complete_cycle - done.submit_cycle);
+    if (done.accept_cycle > 0 && done.accept_cycle >= done.submit_cycle)
+      service.record(done.complete_cycle - done.accept_cycle);
+  }
+  /// Book one decrypt/verify round-trip's completion. Round-trips live
+  /// outside offered/completed (those count arrivals); a clean one never
+  /// fails auth, so failures land in auth_failures.
+  template <class Done>
+  void record_verify_completion(const Done& done) {
+    ++decrypt_completed;
+    busy_rejections += done.rejections;
+    last_complete_cycle = std::max<sim::Cycle>(last_complete_cycle, done.complete_cycle);
+    if (!done.auth_ok) ++auth_failures;
+  }
+  /// Fold in another shard of the same class: the per-arrival counters
+  /// add, last_complete_cycle takes the later stamp, the histograms merge.
+  /// first_submit_cycle and image_reconfigurations are left to the caller.
+  void merge(const ClassReport& other);
 };
 
 /// One point of the runner's admission-window occupancy over time: how
