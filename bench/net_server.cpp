@@ -12,7 +12,7 @@
 //   --backend NAME    override the backend: sim | fast
 //   --devices N       override the fleet's device count
 //   --cores N         override cores per device
-//   --threads N       engine worker threads stepping the fleet
+//   --threads N       engine worker threads stepping simulated devices
 //   --port N          TCP port (default 0 = ephemeral, printed on stdout)
 //   --bind ADDR       bind address (default 127.0.0.1)
 #include <csignal>

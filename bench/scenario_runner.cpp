@@ -23,8 +23,9 @@
 //                     cycle-accurate simulator)
 //   --window N        override the spec's in-flight window
 //   --seed N          override the spec's seed
-//   --threads N       override the spec's engine worker threads (0 = step
-//                     the fleet serially on this thread)
+//   --threads N       override the spec's engine worker threads stepping
+//                     simulated devices (0 = step the fleet serially on
+//                     this thread; FastDevices always step here)
 //   --kernel K        force a crypto kernel tier (portable|auto|aesni|
 //                     vaes); the dispatched tier lands in the report JSON
 //                     and trajectory records

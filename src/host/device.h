@@ -18,15 +18,18 @@
 //
 // Threading contract: a Device is a single-threaded clock domain and
 // implementations need NO internal synchronization. The driver guarantees
-// that at most one thread touches a given device at any time — in the
-// Engine's worker-pool mode, device i is pinned to executor i % size for
-// the stepping calls of a round (`step()`, `pump_round()`,
-// `advance_quiet()`, `advance_to()`). Executor 0 is the Engine caller's own
-// thread; the pool spawns min(num_workers, devices) - 1 more. Every pass is
-// separated from the caller's submit/control/result/forget accesses by a
-// barrier (a happens-before edge on both entry and exit). Distinct devices
-// may be driven concurrently; nothing behind this interface may share
-// mutable state across devices.
+// that at most one thread touches a given device at any time. The Engine
+// steps event-driven devices (FastDevice and any device it cannot see a
+// SimDevice in) on its caller's thread. In its worker-pool mode a
+// simulated device i is pinned to executor i % size for the stepping
+// calls of a round (`step()`, `pump_round()`, `quiet_horizon()`,
+// `advance_quiet()`, `advance_to()`); executor 0 is the caller's own
+// thread, and the pool spawns min(num_workers, devices) - 1 more once the
+// fleet holds a simulated device. Every pool pass is separated from the
+// caller's submit/control/result/forget accesses by a barrier (a
+// happens-before edge on both entry and exit). Distinct devices may be
+// driven concurrently; nothing behind this interface may share mutable
+// state across devices.
 #pragma once
 
 #include <cstdint>

@@ -117,8 +117,8 @@ Engine::Engine(const EngineConfig& config) : placement_(config.placement) {
   config_built_ = true;
   for (const qos::TenantConfig& t : config.tenants) tenants_.register_tenant(t);
   for (const DeviceFault& f : config.faults) inject_fault(f.device, f.kill_at_cycle);
-  if (config.num_workers > 0)
-    pool_ = std::make_unique<WorkerPool>(std::min(config.num_workers, devices_.size()));
+  workers_ = std::min(config.num_workers, devices_.size());
+  ensure_pool();
 }
 
 Engine::Engine(std::vector<std::unique_ptr<Device>> devices, Placement placement,
@@ -130,8 +130,8 @@ Engine::Engine(std::vector<std::unique_ptr<Device>> devices, Placement placement
   scans_.resize(devices_.size());
   draining_.resize(devices_.size(), 0);
   devices_created_ = devices_.size();
-  if (num_workers > 0)
-    pool_ = std::make_unique<WorkerPool>(std::min(num_workers, devices_.size()));
+  workers_ = std::min(num_workers, devices_.size());
+  ensure_pool();
 }
 
 Engine::~Engine() = default;
@@ -441,16 +441,23 @@ void Engine::deliver() {
   }
 }
 
+void Engine::ensure_pool() {
+  if (pool_ || workers_ < 2) return;
+  for (SimDevice* sim : sim_devices_)
+    if (sim) {
+      pool_ = std::make_unique<WorkerPool>(workers_);
+      return;
+    }
+}
+
 template <class Op>
 void Engine::for_each_device(const Op& op) {
-  if (pool_) {
+  if (pool_)
     pool_->run(devices_.size(), [this, &op](std::size_t d) {
-      if (devices_[d]) op(d, *devices_[d]);
+      if (sim_devices_[d]) op(d, *devices_[d]);
     });
-    return;
-  }
   for (std::size_t d = 0; d < devices_.size(); ++d)
-    if (devices_[d]) op(d, *devices_[d]);
+    if (devices_[d] && !(pool_ && sim_devices_[d])) op(d, *devices_[d]);
 }
 
 void Engine::round(sim::Cycle max_cycles) {
@@ -659,22 +666,23 @@ std::size_t Engine::adopt_device(std::unique_ptr<Device> dev) {
   dev->advance_to(max_cycle());
 
   SimDevice* sim = dynamic_cast<SimDevice*>(dev.get());
-  for (std::size_t i = 0; i < devices_.size(); ++i) {
-    if (devices_[i]) continue;
-    devices_[i] = std::move(dev);
-    sim_devices_[i] = sim;
-    // The slot changed occupants: a cached completion count from the old
-    // device could alias the new device's count and mask its completions.
-    scans_[i] = Scan{};
-    draining_[i] = 0;
-    return i;
+  std::size_t i = 0;
+  while (i < devices_.size() && devices_[i]) ++i;
+  if (i == devices_.size()) {
+    devices_.emplace_back();
+    sim_devices_.push_back(nullptr);
+    inflight_.emplace_back();
+    scans_.emplace_back();
+    draining_.push_back(0);
   }
-  devices_.push_back(std::move(dev));
-  sim_devices_.push_back(sim);
-  inflight_.emplace_back();
-  scans_.emplace_back();
-  draining_.push_back(0);
-  return devices_.size() - 1;
+  devices_[i] = std::move(dev);
+  sim_devices_[i] = sim;
+  // The slot changed occupants: a cached completion count from the old
+  // device could alias the new device's count and mask its completions.
+  scans_[i] = Scan{};
+  draining_[i] = 0;
+  ensure_pool();
+  return i;
 }
 
 std::size_t Engine::add_device(std::vector<reconfig::CoreImage> slot_layout) {

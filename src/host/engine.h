@@ -12,18 +12,20 @@
 // per-channel statistics.
 //
 // Stepping is optionally multithreaded (`EngineConfig::num_workers`):
-// devices shard across a worker pool whose executor 0 is the caller's
-// thread (each device remains a single-threaded clock domain, pinned to one
-// executor). Serial and threaded mode share one round routine and one
-// delivery routine; the worker pool only runs the per-device part of a
-// round. Completions are delivered on the caller's
-// thread, so `Completion` callbacks, `on_done` ordering guarantees and
-// per-channel stats are mode-independent: whenever the engine picks the
-// next job to deliver, it picks the complete, undelivered job with the
-// lowest JobId (engine-wide submission order) — including jobs completed
-// by rounds a callback ran and jobs that failed at submit inside a
-// callback. The Engine API itself is NOT thread-safe: all public calls
-// (submit, open_channel, step, ...) must come from one thread;
+// simulated devices shard across a worker pool whose executor 0 is the
+// caller's thread (each device remains a single-threaded clock domain,
+// pinned to one executor); event-driven devices (FastDevice and any other
+// non-simulated device) always step on the caller's thread, where their
+// few short calls per round cost less than a pool barrier. Serial and
+// threaded mode share one round routine and one delivery routine; the
+// worker pool only runs the per-device part of a round. Completions are
+// delivered on the caller's thread, so `Completion` callbacks, `on_done`
+// ordering guarantees and per-channel stats are mode-independent: whenever
+// the engine picks the next job to deliver, it picks the complete,
+// undelivered job with the lowest JobId (engine-wide submission order) —
+// including jobs completed by rounds a callback ran and jobs that failed at
+// submit inside a callback. The Engine API itself is NOT thread-safe: all
+// public calls (submit, open_channel, step, ...) must come from one thread;
 // `num_workers` parallelizes the inside of `step()`/`advance_to()` only.
 // Threaded and serial runs are deterministic twins — devices never
 // interact, so per-device state, results, clocks and delivery order are
@@ -110,12 +112,14 @@ struct EngineConfig {
   std::vector<std::vector<reconfig::CoreImage>> slot_layouts{};
   Placement placement = Placement::kRoundRobin;
   Backend backend = Backend::kSim;
-  /// Executors stepping the fleet: 0 = serial (step every device on the
-  /// caller's thread), N >= 1 = shard devices across min(N, num_devices)
-  /// executors, device i on executor i % that. Executor 0 is the caller's
-  /// thread, so the pool spawns min(N, num_devices) - 1 threads and N = 1
-  /// steps inline like serial. Completions fire on the caller's thread, in
-  /// both modes.
+  /// Executors stepping the fleet's simulated devices: 0 = serial (step
+  /// every device on the caller's thread), N >= 1 = shard simulated
+  /// devices across min(N, num_devices) executors, device i on executor
+  /// i % that. Executor 0 is the caller's thread, so the pool spawns
+  /// min(N, num_devices) - 1 threads, N = 1 steps inline like serial, and
+  /// a fleet with no simulated device spawns none. Event-driven devices
+  /// (FastDevice) always step on the caller's thread. Completions fire on
+  /// the caller's thread, in both modes.
   std::size_t num_workers = 0;
   /// Scripted device deaths (fault injection): each listed device is
   /// wrapped in a FaultyDevice at construction, and the engine keeps a
@@ -207,8 +211,9 @@ class Engine {
   std::vector<Completion> submit_batch(const Channel& ch, std::span<const JobSpec> specs);
 
   /// Advance every device one scheduling round and fire completions.
-  /// With `num_workers` > 0 the devices advance in parallel on the pool;
-  /// completions still fire here, on the calling thread, exactly once.
+  /// With `num_workers` > 1 the simulated devices advance in parallel on
+  /// the pool; completions still fire here, on the calling thread, exactly
+  /// once.
   void step();
   /// `n` engine steps (each >= 1 device cycle).
   void run(sim::Cycle n);
@@ -310,9 +315,9 @@ class Engine {
   std::uint64_t reconfigurations() const;
   std::uint64_t reconfig_stall_cycles() const;
   std::uint64_t reconfigurations_to(reconfig::CoreImage img) const;
-  /// Executors stepping the fleet, the caller's thread included (0 = serial
-  /// mode).
-  std::size_t num_workers() const { return pool_ ? pool_->size() : 0; }
+  /// Executors the fleet's simulated devices step on, the caller's thread
+  /// included (0 = serial mode): min(num_workers, devices at construction).
+  std::size_t num_workers() const { return workers_; }
 
  private:
   friend class Channel;
@@ -360,10 +365,14 @@ class Engine {
   bool inflight_only_on_failed() const;
   void finish_job(detail::JobState& st, const JobResult& result);
   const ChannelStats* channel_stats(std::uint64_t uid) const;
-  /// Run `op(slot, device)` on every live device: inline in serial mode,
-  /// on the worker pool (device i pinned to executor i % size, executor 0
-  /// being this thread) otherwise.
-  /// The only place the two modes differ.
+  /// Build the worker pool the first time a simulated device joins a fleet
+  /// with more than one executor. Placement is fixed per slot by
+  /// sim_devices_: simulated devices step on the pool, the rest inline.
+  void ensure_pool();
+  /// Run `op(slot, device)` on every live device: inline without a pool;
+  /// with one, simulated devices on the pool (device i pinned to executor
+  /// i % size, executor 0 being this thread), then every other device
+  /// inline. The only place the two modes differ.
   template <class Op>
   void for_each_device(const Op& op);
   /// The round routine: one fleet-lockstep scheduling round that may
@@ -435,7 +444,8 @@ class Engine {
   JobId next_job_ = 1;
   std::uint8_t last_rr_ = 0;
 
-  std::unique_ptr<WorkerPool> pool_;  // null = serial stepping
+  std::size_t workers_ = 0;           // num_workers(), fixed at construction
+  std::unique_ptr<WorkerPool> pool_;  // null = every device steps inline
   /// Per-slot round scratch: the quiet horizon each device reported in
   /// pass 1 of a round (0 when it acted). Workers write distinct slots.
   std::vector<sim::Cycle> horizon_;

@@ -1,13 +1,16 @@
 // WorkerPool: a fixed set of executors running barrier-separated rounds.
 //
 // The engine's threaded stepping mode runs the per-device passes of each
-// Engine round here (one pass that moves every device one cycle, and a
-// second only for a whole-fleet quiet fast-forward), sharded across the
-// pool's executors: task i runs on executor i % size(), so a given device
-// is always driven by the same thread and each device stays a
-// single-threaded clock domain. Executor 0 is the thread that calls
-// `run()`; the pool spawns only size() - 1 threads, and a pool of size 1
-// runs every round inline with no barrier at all.
+// Engine round here for its simulated devices (one pass that moves every
+// device one cycle, and a second only for a whole-fleet quiet
+// fast-forward), sharded across the pool's executors: task i runs on
+// executor i % size(), so a given device is always driven by the same
+// thread and each device stays a single-threaded clock domain. Event-driven
+// devices (FastDevice) never come here: their rounds are too short to pay
+// for a barrier, so the Engine steps them on its caller's thread and builds
+// a pool only for a fleet that holds a simulated device. Executor 0 is the
+// thread that calls `run()`; the pool spawns only size() - 1 threads, and a
+// pool of size 1 runs every round inline with no barrier at all.
 //
 // `run()` blocks until the whole pass retires, giving the caller a
 // happens-before edge over everything the workers touched: after `run()`

@@ -489,11 +489,12 @@ TEST(Engine, SerialAndThreadedFaultRecoveryAreBitIdentical) {
   // The membership loop below makes its decisions from engine state that is
   // identical in serial and threaded mode, so the whole fault-recovery
   // trajectory — resubmission counts and every completion stamp — must be
-  // bit-identical between a serial and a 3-worker run.
-  auto run = [](std::size_t workers) {
+  // bit-identical between a serial and a 3-worker run, on both backends
+  // (only the simulated fleet steps on the worker pool).
+  auto run = [](Backend backend, std::size_t workers) {
     Rng rng(59);
     Bytes key = rng.bytes(16);
-    EngineConfig cfg = fleet_config(Backend::kFast, {.num_cores = 2}, 3, workers);
+    EngineConfig cfg = fleet_config(backend, {.num_cores = 2}, 3, workers);
     cfg.faults.push_back({.device = 1, .kill_at_cycle = 3'000});
     Engine engine(cfg);
     engine.provision_key(1, key);
@@ -519,11 +520,14 @@ TEST(Engine, SerialAndThreadedFaultRecoveryAreBitIdentical) {
     for (auto& j : jobs) stamps.push_back(j.result().complete_cycle);
     return std::make_pair(resubmitted, stamps);
   };
-  auto serial = run(0);
-  auto threaded = run(3);
-  EXPECT_GT(serial.first, 0u) << "the kill must land mid-burst";
-  EXPECT_EQ(serial.first, threaded.first);
-  EXPECT_EQ(serial.second, threaded.second) << "completion stamps diverged";
+  for (Backend backend : {Backend::kFast, Backend::kSim}) {
+    SCOPED_TRACE(backend == Backend::kSim ? "sim" : "fast");
+    auto serial = run(backend, 0);
+    auto threaded = run(backend, 3);
+    EXPECT_GT(serial.first, 0u) << "the kill must land mid-burst";
+    EXPECT_EQ(serial.first, threaded.first);
+    EXPECT_EQ(serial.second, threaded.second) << "completion stamps diverged";
+  }
 }
 
 }  // namespace

@@ -535,43 +535,51 @@ TEST(NetServer, FloodingClientBoundedByBackpressure) {
 }
 
 TEST(NetServer, ThreadedEngineServesMultipleClients) {
-  // Worker-threaded engine stepping under the server loop with several
-  // concurrent client threads — the TSan job's bread and butter.
-  ServerConfig cfg = fast_fleet(4);
-  cfg.engine.num_devices = 2;
-  cfg.engine.num_workers = 2;
-  TestServer server(std::move(cfg));
+  // A threaded engine config under the server loop with several
+  // concurrent client threads — the TSan job's bread and butter. A
+  // FastDevice fleet steps on the server loop's thread; a simulated fleet
+  // steps on the worker pool underneath.
+  for (host::Backend backend : {host::Backend::kFast, host::Backend::kSim}) {
+    SCOPED_TRACE(backend == host::Backend::kSim ? "sim" : "fast");
+    ServerConfig cfg = fast_fleet(4);
+    cfg.engine.backend = backend;
+    cfg.engine.num_devices = 2;
+    cfg.engine.num_workers = 2;
+    TestServer server(std::move(cfg));
 
-  constexpr int kClients = 4;
-  constexpr int kJobsPerClient = 50;
-  std::vector<std::thread> threads;
-  std::vector<std::size_t> completed(kClients, 0);
-  for (int t = 0; t < kClients; ++t) {
-    threads.emplace_back([&, t] {
-      ClientConfig cc;
-      cc.port = server->port();
-      cc.name = "threaded#" + std::to_string(t);
-      Client client(cc);
-      client.provision_key(static_cast<std::uint8_t>(t + 1), Bytes(16, 0x10 + t));
-      OpenOkFrame ch = client.open_channel(0, static_cast<std::uint8_t>(t + 1), 16, 12);
-      for (int i = 0; i < kJobsPerClient; ++i) {
-        SubmitJob j;
-        j.job_id = kMinJobId + static_cast<std::uint64_t>(i);
-        j.iv = Bytes(12, static_cast<std::uint8_t>(i));
-        j.payload = Bytes(128 + 8 * static_cast<std::size_t>(i % 16), 0x3C);
-        client.submit(ch.channel, std::move(j), [&, t](const CompletionFrame& c) {
-          if (c.auth_ok) ++completed[static_cast<std::size_t>(t)];
-        });
-        client.poll(0);
-      }
-      client.drain();
-    });
+    constexpr int kClients = 4;
+    constexpr int kJobsPerClient = 50;
+    std::vector<std::thread> threads;
+    std::vector<std::size_t> completed(kClients, 0);
+    for (int t = 0; t < kClients; ++t) {
+      threads.emplace_back([&, t] {
+        ClientConfig cc;
+        cc.port = server->port();
+        cc.name = "threaded#" + std::to_string(t);
+        Client client(cc);
+        client.provision_key(static_cast<std::uint8_t>(t + 1), Bytes(16, 0x10 + t));
+        OpenOkFrame ch = client.open_channel(0, static_cast<std::uint8_t>(t + 1), 16, 12);
+        for (int i = 0; i < kJobsPerClient; ++i) {
+          SubmitJob j;
+          j.job_id = kMinJobId + static_cast<std::uint64_t>(i);
+          j.iv = Bytes(12, static_cast<std::uint8_t>(i));
+          // The simulated datapath takes whole 16-byte GCM blocks only.
+          const std::size_t step = backend == host::Backend::kSim ? 16 : 8;
+          j.payload = Bytes(128 + step * static_cast<std::size_t>(i % 16), 0x3C);
+          client.submit(ch.channel, std::move(j), [&, t](const CompletionFrame& c) {
+            if (c.auth_ok) ++completed[static_cast<std::size_t>(t)];
+          });
+          client.poll(0);
+        }
+        client.drain();
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (int t = 0; t < kClients; ++t)
+      EXPECT_EQ(completed[static_cast<std::size_t>(t)], static_cast<std::size_t>(kJobsPerClient))
+          << "client " << t;
+    EXPECT_EQ(server->sessions_accepted(), static_cast<std::uint64_t>(kClients));
   }
-  for (std::thread& t : threads) t.join();
-  for (int t = 0; t < kClients; ++t)
-    EXPECT_EQ(completed[static_cast<std::size_t>(t)], static_cast<std::size_t>(kJobsPerClient))
-        << "client " << t;
-  EXPECT_EQ(server->sessions_accepted(), static_cast<std::uint64_t>(kClients));
 }
 
 TEST(NetServer, ClientMirrorsInProcessResults) {

@@ -154,25 +154,29 @@ TEST(FaultScenario, KillAndReplaceLosesNothingOnBothBackends) {
 }
 
 TEST(FaultScenario, SerialAndThreadedFaultRunsAreDeterministicTwins) {
-  ScenarioSpec serial = kill_and_replace(host::Backend::kFast);
-  ScenarioSpec threaded = kill_and_replace(host::Backend::kFast);
-  threaded.threads = 2;
-  ScenarioReport a = ScenarioRunner(serial).run();
-  ScenarioReport b = ScenarioRunner(threaded).run();
-  EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
-  EXPECT_EQ(a.resubmitted_jobs, b.resubmitted_jobs);
-  EXPECT_EQ(a.lost_jobs, 0u);
-  EXPECT_EQ(b.lost_jobs, 0u);
-  ASSERT_EQ(a.recovery.size(), b.recovery.size());
-  for (std::size_t i = 0; i < a.recovery.size(); ++i) {
-    EXPECT_EQ(a.recovery[i].kind, b.recovery[i].kind) << i;
-    EXPECT_EQ(a.recovery[i].detected_cycle, b.recovery[i].detected_cycle) << i;
-    EXPECT_EQ(a.recovery[i].resubmitted_jobs, b.recovery[i].resubmitted_jobs) << i;
-  }
-  ASSERT_EQ(a.classes.size(), b.classes.size());
-  for (std::size_t i = 0; i < a.classes.size(); ++i) {
-    EXPECT_EQ(a.classes[i].completed, b.classes[i].completed) << a.classes[i].name;
-    EXPECT_EQ(a.classes[i].payload_bytes, b.classes[i].payload_bytes) << a.classes[i].name;
+  // Both backends: only the simulated fleet steps on the worker pool.
+  for (host::Backend backend : {host::Backend::kFast, host::Backend::kSim}) {
+    SCOPED_TRACE(backend_name(backend));
+    ScenarioSpec serial = kill_and_replace(backend);
+    ScenarioSpec threaded = kill_and_replace(backend);
+    threaded.threads = 2;
+    ScenarioReport a = ScenarioRunner(serial).run();
+    ScenarioReport b = ScenarioRunner(threaded).run();
+    EXPECT_EQ(a.makespan_cycles, b.makespan_cycles);
+    EXPECT_EQ(a.resubmitted_jobs, b.resubmitted_jobs);
+    EXPECT_EQ(a.lost_jobs, 0u);
+    EXPECT_EQ(b.lost_jobs, 0u);
+    ASSERT_EQ(a.recovery.size(), b.recovery.size());
+    for (std::size_t i = 0; i < a.recovery.size(); ++i) {
+      EXPECT_EQ(a.recovery[i].kind, b.recovery[i].kind) << i;
+      EXPECT_EQ(a.recovery[i].detected_cycle, b.recovery[i].detected_cycle) << i;
+      EXPECT_EQ(a.recovery[i].resubmitted_jobs, b.recovery[i].resubmitted_jobs) << i;
+    }
+    ASSERT_EQ(a.classes.size(), b.classes.size());
+    for (std::size_t i = 0; i < a.classes.size(); ++i) {
+      EXPECT_EQ(a.classes[i].completed, b.classes[i].completed) << a.classes[i].name;
+      EXPECT_EQ(a.classes[i].payload_bytes, b.classes[i].payload_bytes) << a.classes[i].name;
+    }
   }
 }
 

@@ -382,11 +382,14 @@ TEST(Scenario, DecryptFractionRoundTripsThroughTheFleet) {
   // decrypt_fraction = 1.0 round-trips every sealed packet.
   EXPECT_EQ(fast.classes[1].decrypt_submitted, fast.classes[1].completed);
 
-  // And the threaded run is a deterministic twin of the serial one.
-  ScenarioSpec threaded_spec = make(host::Backend::kFast);
-  threaded_spec.threads = 2;
-  ScenarioReport threaded = ScenarioRunner(std::move(threaded_spec)).run();
-  expect_reports_identical(fast, threaded);
+  // And the threaded run is a deterministic twin of the serial one, on
+  // both backends (only the simulated fleet steps on the worker pool).
+  for (const ScenarioReport* serial : {&fast, &sim}) {
+    ScenarioSpec threaded_spec = make(serial == &sim ? host::Backend::kSim : host::Backend::kFast);
+    threaded_spec.threads = 2;
+    ScenarioReport threaded = ScenarioRunner(std::move(threaded_spec)).run();
+    expect_reports_identical(*serial, threaded);
+  }
 }
 
 TEST(Scenario, ReconfigChurnMixSwapsUnderLoadOnBothBackends) {
